@@ -16,12 +16,11 @@
 //! * [`BackendProfile::of`] captures what a concrete
 //!   [`FheBackend`] can actually evaluate —
 //!   its depth budget, slot capacity, and whether slot rotation exists
-//!   at all (the negacyclic power-of-two ring has no GF(2) slot
-//!   structure, paper §4.1 vs. the `X^n + 1` ablation).
+//!   at all.
 //! * [`CircuitReport::admit`] compares the two and returns structured
 //!   [`AdmissionIssue`]s. `copse-server` runs this check on every
 //!   deploy, so a model that would exhaust the modulus chain mid-query
-//!   or panic on a rotation-free ring is rejected with a typed
+//!   or panic on a backend without rotations is rejected with a typed
 //!   diagnostic *before* any ciphertext is touched.
 //!
 //! The per-stage predictions line up with the runtime's
@@ -134,9 +133,9 @@ pub struct BackendProfile {
     pub depth_budget: u32,
     /// Slots per ciphertext (`None` = unbounded).
     pub slot_capacity: Option<usize>,
-    /// Whether slot rotation exists at all. `false` only for the BGV
-    /// scheme instantiated over the negacyclic power-of-two ring,
-    /// which has no GF(2) slot structure to rotate.
+    /// Whether slot rotation exists at all. Every shipped backend
+    /// rotates; a profile built with `false` describes a backend that
+    /// cannot, and admission rejects any circuit that rotates on it.
     pub supports_slot_rotation: bool,
 }
 
@@ -165,8 +164,8 @@ pub enum AdmissionIssue {
         /// Depth the backend supports.
         budget: u32,
     },
-    /// The circuit rotates slots but the backend has no slot structure
-    /// (negacyclic power-of-two ring).
+    /// The circuit rotates slots but the backend profile reports no
+    /// slot rotation.
     SlotRotationUnsupported {
         /// Rotations one classification would attempt.
         rotations: u64,
@@ -189,7 +188,7 @@ impl fmt::Display for AdmissionIssue {
             ),
             AdmissionIssue::SlotRotationUnsupported { rotations } => write!(
                 f,
-                "circuit needs {rotations} slot rotations but the backend has no slot structure"
+                "circuit needs {rotations} slot rotations but the backend cannot rotate slots"
             ),
             AdmissionIssue::SlotCapacityExceeded {
                 required,

@@ -132,22 +132,6 @@ fn bench_ring_mul(c: &mut Criterion) {
             bench.iter(|| school.mul(&a, &b))
         });
     }
-    // The negacyclic power-of-two flavor at comparable dimensions:
-    // ψ-twisted transforms of size exactly n (half the prime flavor's
-    // next_pow2(2m - 1) padded length).
-    for n in [128usize, 512] {
-        let (nega, nega_school) = RnsContext::negacyclic_schoolbook_pair(n, 45, 3);
-        let a = nega.sample_uniform(3, &mut rng);
-        let b = nega.sample_uniform(3, &mut rng);
-        group.bench_with_input(BenchmarkId::new("negacyclic", n), &n, |bench, _| {
-            bench.iter(|| nega.mul(&a, &b))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("negacyclic_schoolbook", n),
-            &n,
-            |bench, _| bench.iter(|| nega_school.mul(&a, &b)),
-        );
-    }
     group.finish();
 }
 

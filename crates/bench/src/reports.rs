@@ -558,47 +558,6 @@ pub fn ring_mul() -> String {
         out,
         "expected shape: O(phi^2) vs O(n log n) — the gap widens with m; >= 5x at m = 509"
     );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "negacyclic power-of-two flavor (psi-twisted size-n transforms, no padding):"
-    );
-    let _ = writeln!(
-        out,
-        "{:<6} {:>9} {:>12} {:>15} {:>9}",
-        "n", "ntt_size", "ntt_ms", "schoolbook_ms", "speedup"
-    );
-    for n in [128usize, 256, 512] {
-        let (ntt, school) = RnsContext::negacyclic_schoolbook_pair(n, 45, 3);
-        let a = ntt.sample_uniform(3, &mut rng);
-        let b = ntt.sample_uniform(3, &mut rng);
-        let time_ms = |ctx: &RnsContext| -> f64 {
-            let times: Vec<_> = (0..7)
-                .map(|_| {
-                    let start = Stopwatch::start();
-                    let _ = std::hint::black_box(ctx.mul(&a, &b));
-                    start.elapsed()
-                })
-                .collect();
-            crate::median(times).as_secs_f64() * 1e3
-        };
-        let fast = time_ms(&ntt);
-        let slow = time_ms(&school);
-        let _ = writeln!(
-            out,
-            "{:<6} {:>9} {:>12.3} {:>15.3} {:>8.1}x",
-            n,
-            ntt.transform_size(),
-            fast,
-            slow,
-            slow / fast
-        );
-    }
-    let _ = writeln!(
-        out,
-        "transform size is exactly n — half the prime flavor's next_pow2(2m - 1) at\n\
-         comparable ring dimension (128 vs 256 against m = 127)"
-    );
     out
 }
 
@@ -618,17 +577,6 @@ pub struct KernelMedians {
     pub ring_mul_ntt_ms: f64,
     /// `RnsContext::mul`, schoolbook oracle.
     pub ring_mul_school_ms: f64,
-    /// `RnsContext::mul` on the negacyclic power-of-two ring at
-    /// comparable dimension (n = 128 vs φ(127) = 126, level-3 chain):
-    /// `ψ`-twisted transforms of size exactly `n` — half the prime
-    /// flavor's zero-padded length.
-    pub ring_mul_nega_ms: f64,
-    /// Per-prime transform length of the prime-cyclotomic `ring_mul`
-    /// point (`next_pow2(2m - 1)`).
-    pub ring_mul_cyclic_size: usize,
-    /// Per-prime transform length of the negacyclic `ring_mul` point
-    /// (exactly `n`).
-    pub ring_mul_nega_size: usize,
     /// `rotate_slots` with cached evaluation-domain key switching.
     pub rotate_eval_ms: f64,
     /// `rotate_slots` on the per-call coefficient route (PR 2).
@@ -693,20 +641,6 @@ pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
     }));
     let ring_mul_school_ms = median_ms(Box::new(|| {
         let _ = std::hint::black_box(school.mul(&a, &b));
-    }));
-
-    // Negacyclic power-of-two ring at comparable dimension: n = 128
-    // (ring Z_q[X]/(X^128 + 1)) vs φ(127) = 126 above. Same chain
-    // shape (level-3, 45-bit primes with 2n | q - 1); the ψ-twisted
-    // transforms run at size exactly n = 128, half the prime flavor's
-    // next_pow2(2·127 − 1) = 256.
-    let (nega, _) = RnsContext::negacyclic_schoolbook_pair(128, 45, 3);
-    let ring_mul_cyclic_size = ntt.transform_size();
-    let ring_mul_nega_size = nega.transform_size();
-    let na = nega.sample_uniform(3, &mut rng);
-    let nb = nega.sample_uniform(3, &mut rng);
-    let ring_mul_nega_ms = median_ms(Box::new(|| {
-        let _ = std::hint::black_box(nega.mul(&na, &nb));
     }));
 
     // Rotate and key switch at demo parameters, evaluation-domain vs
@@ -794,9 +728,6 @@ pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
     KernelMedians {
         ring_mul_ntt_ms,
         ring_mul_school_ms,
-        ring_mul_nega_ms,
-        ring_mul_cyclic_size,
-        ring_mul_nega_size,
         rotate_eval_ms,
         rotate_coeff_ms,
         rotate_par_ms,
@@ -837,8 +768,6 @@ pub fn kernels_json(k: &KernelMedians, p: &PackingSweep) -> String {
         "{{\n  \"params\": \"demo (m = 127, 16-prime chain)\",\n  \
          \"threads\": {{\"parallel\": {}, \"host_cores\": {}}},\n  \
          \"ring_mul_ms\": {{\"ntt\": {:.4}, \"schoolbook\": {:.4}}},\n  \
-         \"ring_mul_negacyclic\": {:.4},\n  \
-         \"ring_mul_transform_sizes\": {{\"cyclic\": {}, \"negacyclic\": {}}},\n  \
          \"rotate_ms\": {{\"eval_domain\": {:.4}, \"coefficient\": {:.4}, \"parallel\": {:.4}}},\n  \
          \"key_switch_ms\": {{\"eval_domain\": {:.4}, \"coefficient\": {:.4}, \"parallel\": {:.4}}},\n  \
          \"mat_vec_ms\": {{\"threads_1\": {:.4}, \"parallel\": {:.4}}},\n  \
@@ -852,9 +781,6 @@ pub fn kernels_json(k: &KernelMedians, p: &PackingSweep) -> String {
         k.host_cores,
         k.ring_mul_ntt_ms,
         k.ring_mul_school_ms,
-        k.ring_mul_nega_ms,
-        k.ring_mul_cyclic_size,
-        k.ring_mul_nega_size,
         k.rotate_eval_ms,
         k.rotate_coeff_ms,
         k.rotate_par_ms,
@@ -1335,17 +1261,6 @@ pub fn rotate_keyswitch(k: &KernelMedians) -> String {
         "mat_vec", k.mat_vec_ms, "-", "-", k.mat_vec_par_ms,
     );
     let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "ring_mul at comparable dimension: negacyclic n = {} ({:.3} ms, size-{} \
-         transforms) vs prime-cyclotomic m = 127 ({:.3} ms, size-{} transforms) \
-         — the power-of-two flavor transforms at half the length",
-        k.ring_mul_nega_size,
-        k.ring_mul_nega_ms,
-        k.ring_mul_nega_size,
-        k.ring_mul_ntt_ms,
-        k.ring_mul_cyclic_size,
-    );
     let _ = writeln!(
         out,
         "mat_vec speedup at {} threads: {:.2}x on a {}-core host",

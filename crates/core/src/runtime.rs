@@ -55,7 +55,7 @@ pub enum PackingMode {
     /// Pack whenever [`Sally::pack_plan`] finds room: the backend has
     /// a slot capacity of at least two query strides, supports slot
     /// rotation, and has one level of depth headroom for the unpack
-    /// mask. Backends without a capacity (clear-unbounded, negacyclic)
+    /// mask. Backends without a capacity (clear-unbounded)
     /// transparently fall through to the stage-major path.
     #[default]
     Auto,
@@ -602,7 +602,7 @@ impl<'b, B: FheBackend> Sally<'b, B> {
 
     /// The cross-query packing layout batches will use, or `None` when
     /// packing cannot engage: packing is [`PackingMode::Off`], the
-    /// backend reports no slot capacity (clear-unbounded, negacyclic)
+    /// backend reports no slot capacity (clear-unbounded)
     /// or no slot rotation, fewer than two query strides fit, or the
     /// depth budget lacks the one extra level the unpack mask costs.
     /// All of those fall through to the stage-major batch path — the

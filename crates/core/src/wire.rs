@@ -550,8 +550,7 @@ pub enum RejectionCode {
     /// `depth_budget()` — evaluation would exhaust the noise budget
     /// and decrypt garbage.
     DepthExceeded,
-    /// The circuit needs slot rotations and the backend cannot rotate
-    /// (the negacyclic-flavored packed backend has no slot structure).
+    /// The circuit needs slot rotations and the backend cannot rotate.
     SlotRotationUnsupported,
     /// A pipeline operand is wider than the backend's slot capacity.
     SlotCapacityExceeded,

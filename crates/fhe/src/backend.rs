@@ -8,7 +8,7 @@
 //! and truncation). Every operation is recorded on the backend's
 //! [`OpMeter`] so circuits can be costed op-for-op.
 //!
-//! Three implementations ship with this crate:
+//! Two implementations ship with this crate:
 //!
 //! * [`ClearBackend`](crate::ClearBackend) — exact semantics over
 //!   plaintext bit vectors with multiplicative-depth tracking; the
@@ -16,10 +16,6 @@
 //! * [`BgvBackend`](crate::BgvBackend) — a real (teaching-grade)
 //!   leveled BGV scheme over a prime cyclotomic ring with GF(2) slot
 //!   packing, for end-to-end encrypted runs.
-//! * [`NegacyclicBackend`](crate::NegacyclicBackend) — the same BGV
-//!   scheme over the negacyclic power-of-two ring `Z_q[X]/(X^n + 1)`
-//!   (size-`n` transforms, no slot structure: one scalar ciphertext
-//!   per bit, free layout operations).
 
 use crate::bitvec::BitVec;
 use crate::meter::OpMeter;
@@ -56,18 +52,17 @@ impl fmt::Display for CiphertextCodecError {
 
 impl std::error::Error for CiphertextCodecError {}
 
-/// Typed errors from backend operations that a given scheme flavor may
-/// not support.
+/// Typed errors from backend operations that a given backend may not
+/// support.
 ///
-/// Historically these surfaced as panics deep inside the scheme (the
-/// negacyclic flavor's missing slot structure, a missing rotation
-/// key); deploy-time admission (`copse-analyze`) needs them as values
-/// so an unsupported circuit is a structured diagnostic, not a crash.
+/// The trait's default block-layout methods raise these as typed panic
+/// payloads; deploy-time admission (`copse-analyze`) models the same
+/// capabilities as values, so an unsupported circuit is a structured
+/// diagnostic, not a crash.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendError {
-    /// The operation is not supported by this backend's parameters or
-    /// ring flavor (e.g. slot rotation on the negacyclic power-of-two
-    /// ring, which has no GF(2) slot structure).
+    /// The operation is not supported by this backend (e.g. a packed
+    /// block-layout primitive the backend does not implement).
     Unsupported {
         /// The operation that was requested.
         operation: &'static str,
@@ -114,12 +109,10 @@ pub trait FheBackend: Send + Sync {
 
     /// Whether [`rotate`](FheBackend::rotate) is available at all.
     ///
-    /// `true` for every shipped backend except [`crate::BgvBackend`]
-    /// instantiated over negacyclic (power-of-two `m`) parameters,
-    /// whose ring has no GF(2) slot structure and hence no rotation
-    /// automorphisms. Deploy-time admission checks this capability so
-    /// a circuit that needs rotations is rejected with a typed
-    /// diagnostic instead of panicking mid-evaluation.
+    /// `true` for every shipped backend. Deploy-time admission checks
+    /// this capability so that a backend without rotations rejects a
+    /// circuit that needs them with a typed diagnostic instead of
+    /// panicking mid-evaluation.
     fn supports_slot_rotation(&self) -> bool {
         true
     }

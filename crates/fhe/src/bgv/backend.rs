@@ -180,14 +180,7 @@ impl FheBackend for BgvBackend {
     type Ciphertext = BgvCiphertext;
 
     fn slot_capacity(&self) -> Option<usize> {
-        // Via `try_slots` so capability probing (deploy-time
-        // admission) never panics: the negacyclic flavor has no slot
-        // structure, hence no packed capacity to report.
-        self.scheme.try_slots().map(|s| s.nslots())
-    }
-
-    fn supports_slot_rotation(&self) -> bool {
-        self.scheme.try_slots().is_some()
+        Some(self.nslots())
     }
 
     fn meter(&self) -> &OpMeter {

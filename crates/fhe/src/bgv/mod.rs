@@ -3,32 +3,23 @@
 //! This is the real-lattice counterpart of the clear evaluator: the
 //! substrate role HElib plays in the paper, rebuilt in three layers —
 //!
-//! * [`ring`] — RNS polynomial arithmetic in `Z_Q[X]/Φ_m(X)`, in two
-//!   [`RingFlavor`]s: the prime cyclotomic ring (odd prime `m`) and
-//!   the negacyclic power-of-two ring `Z_q[X]/(X^(m/2) + 1)`,
-//!   including BGV modulus switching and digit decomposition;
+//! * [`ring`] — RNS polynomial arithmetic in the prime cyclotomic ring
+//!   `Z_Q[X]/Φ_m(X)` (odd prime `m`), including BGV modulus switching
+//!   and digit decomposition;
 //! * [`scheme`] — RLWE keys, encryption, homomorphic add/multiply with
-//!   relinearisation, Galois-automorphism slot rotation (prime flavor
-//!   only), and an automatic modulus-switching noise policy;
+//!   relinearisation, Galois-automorphism slot rotation, and an
+//!   automatic modulus-switching noise policy;
 //! * [`backend`] — the [`FheBackend`](crate::FheBackend)
-//!   implementation over the prime flavor with logical-width slot
-//!   packing (masked rotations, cyclic extension), differentially
-//!   tested against [`ClearBackend`](crate::ClearBackend);
-//! * [`negacyclic`] — the [`FheBackend`](crate::FheBackend)
-//!   implementation over the power-of-two flavor: one scalar
-//!   ciphertext per bit (no GF(2) slots exist there), size-`n`
-//!   `ψ`-twisted transforms, free layout operations.
+//!   implementation with logical-width slot packing (masked rotations,
+//!   cyclic extension), differentially tested against
+//!   [`ClearBackend`](crate::ClearBackend).
 //!
-//! Parameters are demonstration-sized (`m = 31` or `m = 127`; `m = 32`
-//! or `m = 256` negacyclic); the algebra is faithful, the security
-//! level is not (see DESIGN.md).
+//! Parameters are demonstration-sized (`m = 31` or `m = 127`); the
+//! algebra is faithful, the security level is not (see DESIGN.md).
 
 pub mod backend;
-pub mod negacyclic;
 pub mod ring;
 pub mod scheme;
 
 pub use backend::{BgvBackend, BgvCiphertext, BgvPlaintext};
-pub use negacyclic::{NegacyclicBackend, NegacyclicCiphertext, NegacyclicPlaintext};
-pub use ring::RingFlavor;
 pub use scheme::{BgvParams, BgvScheme};

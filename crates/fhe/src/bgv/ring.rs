@@ -6,65 +6,32 @@
 //! one residue vector per active prime; dropping the last prime
 //! (modulus switching) simply drops a row.
 //!
-//! Two cyclotomic **ring flavors** share this representation
-//! ([`RingFlavor`]):
+//! The index `m` is an odd prime, so the ring has degree
+//! `φ(m) = m - 1`. Reduction modulo `Φ_m = 1 + X + ... + X^(m-1)` uses
+//! the prime-`m` identity `X^(m-1) ≡ -(1 + X + ... + X^(m-2))`:
+//! multiply modulo `X^m - 1` (cyclic wrap), then fold the top
+//! coefficient. The NTT fast path computes the *linear* product by
+//! zero-padded forward/pointwise/inverse transforms of size
+//! `next_pow2(2m - 1)` (chain primes `q ≡ 1 mod 2^s` from
+//! [`crate::math::modq::ntt_chain_primes`]), then wraps and folds.
 //!
-//! * [`RingFlavor::PrimeCyclotomic`] — odd prime `m`, degree
-//!   `φ(m) = m - 1`. Reduction modulo `Φ_m = 1 + X + ... + X^(m-1)`
-//!   uses the prime-`m` identity
-//!   `X^(m-1) ≡ -(1 + X + ... + X^(m-2))`: multiply modulo `X^m - 1`
-//!   (cyclic wrap), then fold the top coefficient. The NTT fast path
-//!   computes the *linear* product by zero-padded
-//!   forward/pointwise/inverse transforms of size
-//!   `next_pow2(2m - 1)` (chain primes `q ≡ 1 mod 2^s` from
-//!   [`crate::math::modq::ntt_chain_primes`]), then wraps and folds.
-//! * [`RingFlavor::NegacyclicPow2`] — power-of-two index `m = 2n`,
-//!   `Φ_m = X^n + 1`, degree `φ(m) = n`. Products reduce by the
-//!   negacyclic wrap `X^n ≡ -1` and the NTT fast path is the
-//!   `ψ`-twisted transform of size **exactly `n`** — no zero padding,
-//!   no wrap/fold, half the transform length of the prime flavor at
-//!   comparable degree (chain primes `2n | q - 1` from
-//!   [`crate::math::modq::negacyclic_chain_primes`]).
-//!
-//! In both flavors a chain prime whose multiplicative group is too
-//! small for the transform falls back to a schoolbook `O(φ(m)^2)`
-//! convolution (cyclic-wrap-and-fold or negacyclic respectively),
-//! which doubles as the test oracle for the NTT path.
+//! A chain prime whose multiplicative group is too small for the
+//! transform falls back to a schoolbook `O(φ(m)^2)` cyclic-wrap-and-fold
+//! convolution, which doubles as the test oracle for the NTT path.
 
 use crate::math::modq::{add_mod, gcd, inv_mod, mul_mod, ntt_chain_primes, sub_mod};
 use crate::math::ntt::NttPlan;
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The cyclotomic family a ring context reduces in.
-///
-/// The flavor fixes the ring degree, the reduction rule applied after
-/// every product, and the shape (and size) of the NTT fast path; see
-/// the module docs for the full comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RingFlavor {
-    /// `Z_q[X]/Φ_m(X)` for an odd prime `m`: degree `m - 1`,
-    /// zero-padded linear-convolution NTTs of size `next_pow2(2m - 1)`
-    /// followed by a cyclic wrap and `Φ_m` fold.
-    PrimeCyclotomic,
-    /// `Z_q[X]/(X^n + 1)` for `n = m/2` a power of two: degree `n`,
-    /// `ψ`-twisted negacyclic NTTs of size exactly `n`, products come
-    /// back fully reduced.
-    NegacyclicPow2,
-}
-
-/// Shared ring description: the cyclotomic index, the ring flavor, the
-/// full modulus chain, and one cached NTT plan per NTT-friendly chain
-/// prime.
+/// Shared ring description: the cyclotomic index, the full modulus
+/// chain, and one cached NTT plan per NTT-friendly chain prime.
 #[derive(Debug)]
 pub struct RnsContext {
     m: usize,
-    phi: usize,
-    flavor: RingFlavor,
     primes: Vec<u64>,
-    /// One plan per chain prime, sized `next_pow2(2m - 1)` (prime
-    /// flavor) or `m/2` (negacyclic flavor); `None` where the prime's
-    /// 2-adicity is too small (schoolbook fallback).
+    /// One plan per chain prime, sized `next_pow2(2m - 1)`; `None`
+    /// where the prime's 2-adicity is too small (schoolbook fallback).
     plans: Vec<Option<NttPlan>>,
     use_ntt: bool,
     /// Parallel degree for per-prime row loops (1 = sequential). An
@@ -78,8 +45,6 @@ impl Clone for RnsContext {
     fn clone(&self) -> Self {
         Self {
             m: self.m,
-            phi: self.phi,
-            flavor: self.flavor,
             primes: self.primes.clone(),
             plans: self.plans.clone(),
             use_ntt: self.use_ntt,
@@ -98,18 +63,14 @@ pub struct RnsPoly {
 }
 
 /// A ring element in the **evaluation (NTT) domain**: one length-
-/// [`RnsContext::transform_size`] forward transform per active prime.
+/// [`RnsContext::ntt_size`] forward transform per active prime.
 ///
-/// In the prime flavor, pointwise products of evaluation rows are
-/// linear convolutions of the corresponding coefficient rows (no
-/// cyclic aliasing: a single product has degree `<= 2m - 4 < n`, and
-/// the transform is linear, so sums of products stay representable
-/// too). In the negacyclic flavor the rows are `ψ`-twisted transforms
-/// of size exactly `n`, and pointwise products are negacyclic
-/// convolutions — already reduced ring products, same linearity
-/// argument. Either way this is the
-/// natural resident form for *hot fixed operands* — key-switching key
-/// parts and plaintext model diagonals are transformed once and then
+/// Pointwise products of evaluation rows are linear convolutions of the
+/// corresponding coefficient rows (no cyclic aliasing: a single product
+/// has degree `<= 2m - 4 < n`, and the transform is linear, so sums of
+/// products stay representable too). This is the natural resident form
+/// for *hot fixed operands* — key-switching key parts and plaintext
+/// model diagonals are transformed once and then
 /// multiply-accumulated pointwise against each query, with a single
 /// inverse transform per output row at the end.
 ///
@@ -134,70 +95,27 @@ impl RnsContext {
     ///
     /// # Panics
     ///
-    /// Panics if `m` is even (use [`RnsContext::new_negacyclic`] for
-    /// power-of-two indices), fewer than one prime is supplied, or any
+    /// Panics if `m` is even, fewer than one prime is supplied, or any
     /// prime is even.
     pub fn new(m: usize, primes: Vec<u64>) -> Self {
         assert!(
             m >= 3 && m % 2 == 1,
-            "prime-cyclotomic index must be an odd prime; \
-             use new_negacyclic for power-of-two indices"
+            "prime-cyclotomic index m = {m} must be an odd prime"
         );
-        Self::check_chain(&primes);
-        let n = Self::ntt_size(m);
-        let plans = primes.iter().map(|&q| NttPlan::new(q, n)).collect();
-        Self {
-            m,
-            phi: m - 1,
-            flavor: RingFlavor::PrimeCyclotomic,
-            primes,
-            plans,
-            use_ntt: true,
-            threads: AtomicUsize::new(1),
-        }
-    }
-
-    /// Creates a negacyclic power-of-two context: cyclotomic index
-    /// `m = 2n` (a power of two `>= 4`), ring `Z_q[X]/(X^n + 1)` of
-    /// degree `n = m/2`. Per-prime plans are built at size exactly `n`
-    /// — the transform-size halving the negacyclic flavor exists for —
-    /// and their `ψ` twist tables are available whenever
-    /// `2n | q - 1` (as produced by
-    /// [`crate::math::modq::negacyclic_chain_primes`]); other primes
-    /// fall back to the negacyclic schoolbook convolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not a power of two `>= 4`, fewer than one
-    /// prime is supplied, or any prime is even.
-    pub fn new_negacyclic(m: usize, primes: Vec<u64>) -> Self {
-        assert!(
-            m.is_power_of_two() && m >= 4,
-            "negacyclic cyclotomic index must be a power of two >= 4"
-        );
-        Self::check_chain(&primes);
-        let n = m / 2;
-        let plans = primes
-            .iter()
-            .map(|&q| NttPlan::new(q, n).filter(|p| p.supports_negacyclic()))
-            .collect();
-        Self {
-            m,
-            phi: n,
-            flavor: RingFlavor::NegacyclicPow2,
-            primes,
-            plans,
-            use_ntt: true,
-            threads: AtomicUsize::new(1),
-        }
-    }
-
-    fn check_chain(primes: &[u64]) {
         assert!(!primes.is_empty(), "modulus chain must be nonempty");
         assert!(
             primes.iter().all(|&q| q % 2 == 1),
             "chain primes must be odd"
         );
+        let n = Self::ntt_size(m);
+        let plans = primes.iter().map(|&q| NttPlan::new(q, n)).collect();
+        Self {
+            m,
+            primes,
+            plans,
+            use_ntt: true,
+            threads: AtomicUsize::new(1),
+        }
     }
 
     /// Sets the parallel degree for per-prime row loops: with
@@ -232,27 +150,11 @@ impl RnsContext {
         }
     }
 
-    /// Transform length of the **prime flavor** for linear products of
-    /// two degree-`< φ(m)` rows: the product has degree `<= 2m - 4`,
-    /// so `next_pow2(2m - 1)` holds it without cyclic aliasing.
-    /// (Flavor-aware callers want [`RnsContext::transform_size`].)
+    /// Transform length for linear products of two degree-`< φ(m)`
+    /// rows: the product has degree `<= 2m - 4`, so `next_pow2(2m - 1)`
+    /// holds it without cyclic aliasing.
     pub fn ntt_size(m: usize) -> usize {
         (2 * m - 1).next_power_of_two()
-    }
-
-    /// The per-prime NTT length this context transforms at:
-    /// `next_pow2(2m - 1)` in the prime flavor, exactly `n = m/2` in
-    /// the negacyclic flavor (half or less at comparable degree).
-    pub fn transform_size(&self) -> usize {
-        match self.flavor {
-            RingFlavor::PrimeCyclotomic => Self::ntt_size(self.m),
-            RingFlavor::NegacyclicPow2 => self.phi,
-        }
-    }
-
-    /// The cyclotomic family this context reduces in.
-    pub fn flavor(&self) -> RingFlavor {
-        self.flavor
     }
 
     /// Whether the NTT fast path is enabled (per-prime plans still
@@ -286,20 +188,6 @@ impl RnsContext {
         (ntt, school)
     }
 
-    /// [`RnsContext::ntt_schoolbook_pair`] for the negacyclic flavor:
-    /// the same ring `Z_q[X]/(X^n + 1)` built twice over one freshly
-    /// generated `2n | q - 1` chain, once on the size-`n` `ψ`-twisted
-    /// NTT path and once forced through the negacyclic schoolbook
-    /// oracle. Both contexts compute bitwise-identical products.
-    pub fn negacyclic_schoolbook_pair(n: usize, prime_bits: u32, chain: usize) -> (Self, Self) {
-        let primes = crate::math::modq::negacyclic_chain_primes(prime_bits, chain, n);
-        let ntt = Self::new_negacyclic(2 * n, primes.clone());
-        assert_eq!(ntt.ntt_ready_primes(), chain, "chain generated friendly");
-        let mut school = Self::new_negacyclic(2 * n, primes);
-        school.set_ntt_enabled(false);
-        (ntt, school)
-    }
-
     /// Cyclotomic index `m`.
     pub fn m(&self) -> usize {
         self.m
@@ -307,7 +195,7 @@ impl RnsContext {
 
     /// Ring degree `φ(m) = m - 1`.
     pub fn phi(&self) -> usize {
-        self.phi
+        self.m - 1
     }
 
     /// The full modulus chain.
@@ -323,18 +211,18 @@ impl RnsContext {
     /// The zero element at `level` primes.
     pub fn zero(&self, level: usize) -> RnsPoly {
         RnsPoly {
-            residues: vec![vec![0; self.phi]; level],
+            residues: vec![vec![0; self.phi()]; level],
         }
     }
 
     /// Lifts a small signed polynomial (degree < φ) to all `level`
     /// primes.
     pub fn from_signed(&self, coeffs: &[i64], level: usize) -> RnsPoly {
-        assert!(coeffs.len() <= self.phi, "degree too large for the ring");
+        assert!(coeffs.len() <= self.phi(), "degree too large for the ring");
         let residues = self.primes[..level]
             .iter()
             .map(|&q| {
-                let mut row = vec![0u64; self.phi];
+                let mut row = vec![0u64; self.phi()];
                 for (i, &c) in coeffs.iter().enumerate() {
                     row[i] = c.rem_euclid(q as i64) as u64;
                 }
@@ -349,7 +237,7 @@ impl RnsContext {
         RnsPoly {
             residues: self.primes[..level]
                 .iter()
-                .map(|&q| (0..self.phi).map(|_| rng.gen_range(0..q)).collect())
+                .map(|&q| (0..self.phi()).map(|_| rng.gen_range(0..q)).collect())
                 .collect(),
         }
     }
@@ -357,7 +245,7 @@ impl RnsContext {
     /// Random ternary polynomial (coefficients in {-1, 0, 1} with
     /// probabilities 1/4, 1/2, 1/4) as signed coefficients.
     pub fn sample_ternary(&self, rng: &mut impl Rng) -> Vec<i64> {
-        (0..self.phi)
+        (0..self.phi())
             .map(|_| match rng.gen_range(0..4u8) {
                 0 => -1,
                 1 | 2 => 0,
@@ -369,7 +257,7 @@ impl RnsContext {
     /// Centered-binomial error polynomial with parameter `eta`
     /// (variance `eta/2`), as signed coefficients.
     pub fn sample_error(&self, eta: u32, rng: &mut impl Rng) -> Vec<i64> {
-        (0..self.phi)
+        (0..self.phi())
             .map(|_| {
                 let mut acc = 0i64;
                 for _ in 0..eta {
@@ -452,19 +340,11 @@ impl RnsContext {
         );
         let residues = self.par_rows(level, |j| {
             let q = self.primes[j];
-            match (&self.plans[j], self.flavor) {
-                (Some(plan), RingFlavor::PrimeCyclotomic) if self.use_ntt => {
+            match &self.plans[j] {
+                Some(plan) if self.use_ntt => {
                     self.mul_row_ntt(plan, &a.residues[j], &b.residues[j], q)
                 }
-                (Some(plan), RingFlavor::NegacyclicPow2) if self.use_ntt => {
-                    plan.negacyclic_mul(&a.residues[j], &b.residues[j])
-                }
-                (_, RingFlavor::PrimeCyclotomic) => {
-                    self.mul_row_schoolbook(&a.residues[j], &b.residues[j], q)
-                }
-                (_, RingFlavor::NegacyclicPow2) => {
-                    self.mul_row_schoolbook_negacyclic(&a.residues[j], &b.residues[j], q)
-                }
+                _ => self.mul_row_schoolbook(&a.residues[j], &b.residues[j], q),
             }
         });
         RnsPoly { residues }
@@ -483,9 +363,7 @@ impl RnsContext {
 
     /// Reduces an `n`-coefficient linear-convolution row into the ring:
     /// wrap mod `X^m - 1`, then fold the top coefficient by `Φ_m`.
-    /// Prime flavor only — negacyclic products come back reduced.
     fn wrap_fold(&self, full: &[u64], q: u64) -> Vec<u64> {
-        debug_assert_eq!(self.flavor, RingFlavor::PrimeCyclotomic);
         let mut wrapped = vec![0u64; self.m];
         for (i, &c) in full.iter().enumerate() {
             if c != 0 {
@@ -520,45 +398,15 @@ impl RnsContext {
         self.fold_row(wrapped, q)
     }
 
-    /// Negacyclic schoolbook fallback (and test oracle for the
-    /// `ψ`-twisted NTT path): the `O(n^2)` convolution reduced on the
-    /// fly by `X^n ≡ -1` — a term wrapping past `X^(n-1)` *subtracts*
-    /// at `i + j - n`. Degrees stay below `n`, so a single wrap
-    /// suffices.
-    fn mul_row_schoolbook_negacyclic(&self, a: &[u64], b: &[u64], q: u64) -> Vec<u64> {
-        let n = self.phi;
-        let mut out = vec![0u64; n];
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            for (j, &bj) in b.iter().enumerate() {
-                if bj == 0 {
-                    continue;
-                }
-                let p = mul_mod(ai, bj, q);
-                if i + j < n {
-                    out[i + j] = add_mod(out[i + j], p, q);
-                } else {
-                    out[i + j - n] = sub_mod(out[i + j - n], p, q);
-                }
-            }
-        }
-        out
-    }
-
     /// Whether the evaluation-domain APIs are usable at `level`: the
     /// fast path is enabled and every one of the first `level` chain
-    /// primes holds a cached plan (negacyclic plans are only cached
-    /// when their `ψ` twist tables exist, so no extra check is needed
-    /// per flavor).
+    /// primes holds a cached plan.
     pub fn eval_ready(&self, level: usize) -> bool {
         self.use_ntt && self.plans[..level].iter().all(|p| p.is_some())
     }
 
     /// Forward-transforms an element into the evaluation domain: one
-    /// zero-padded NTT per active prime (prime flavor) or one
-    /// `ψ`-twisted size-`n` NTT per active prime (negacyclic flavor).
+    /// zero-padded NTT per active prime.
     ///
     /// # Panics
     ///
@@ -572,10 +420,7 @@ impl RnsContext {
                 .expect("chain prime lacks an NTT plan");
             let mut padded = vec![0u64; plan.size()];
             padded[..row.len()].copy_from_slice(row);
-            match self.flavor {
-                RingFlavor::PrimeCyclotomic => plan.forward(&mut padded),
-                RingFlavor::NegacyclicPow2 => plan.forward_negacyclic(&mut padded),
-            }
+            plan.forward(&mut padded);
             padded
         });
         EvalPoly { rows }
@@ -593,7 +438,7 @@ impl RnsContext {
     ///
     /// Panics on degree overflow.
     pub fn small_to_eval(&self, coeffs: &[u64], level: usize) -> EvalPoly {
-        assert!(coeffs.len() <= self.phi, "degree too large for the ring");
+        assert!(coeffs.len() <= self.phi(), "degree too large for the ring");
         let rows = self.par_rows(level, |j| {
             let q = self.primes[j];
             let plan = self.plans[j]
@@ -603,19 +448,15 @@ impl RnsContext {
             for (p, &c) in padded.iter_mut().zip(coeffs) {
                 *p = c % q;
             }
-            match self.flavor {
-                RingFlavor::PrimeCyclotomic => plan.forward(&mut padded),
-                RingFlavor::NegacyclicPow2 => plan.forward_negacyclic(&mut padded),
-            }
+            plan.forward(&mut padded);
             padded
         });
         EvalPoly { rows }
     }
 
     /// Inverse-transforms an evaluation-domain element back to
-    /// coefficient form: one inverse NTT per row, then (prime flavor
-    /// only) wrap mod `X^m - 1` and fold by `Φ_m` — the negacyclic
-    /// untwisted inverse is already the reduced residue row. Bitwise
+    /// coefficient form: one inverse NTT per row, then wrap mod
+    /// `X^m - 1` and fold by `Φ_m`. Bitwise
     /// identical to performing the corresponding coefficient-domain
     /// products and sums directly (the transform is linear and exact
     /// over `Z_q`).
@@ -626,16 +467,8 @@ impl RnsContext {
                 .as_ref()
                 .expect("chain prime lacks an NTT plan");
             let mut full = e.rows[j].clone();
-            match self.flavor {
-                RingFlavor::PrimeCyclotomic => {
-                    plan.inverse(&mut full);
-                    self.wrap_fold(&full, q)
-                }
-                RingFlavor::NegacyclicPow2 => {
-                    plan.inverse_negacyclic(&mut full);
-                    full
-                }
-            }
+            plan.inverse(&mut full);
+            self.wrap_fold(&full, q)
         });
         RnsPoly { residues }
     }
@@ -643,7 +476,7 @@ impl RnsContext {
     /// The evaluation-domain zero at `level` rows (an accumulator).
     pub fn eval_zero(&self, level: usize) -> EvalPoly {
         EvalPoly {
-            rows: vec![vec![0u64; self.transform_size()]; level],
+            rows: vec![vec![0u64; Self::ntt_size(self.m)]; level],
         }
     }
 
@@ -733,11 +566,11 @@ impl RnsContext {
     /// primes (see [`RnsContext::small_to_eval`]), and the rows must
     /// stay canonical.
     pub fn from_small_unsigned(&self, coeffs: &[u64], level: usize) -> RnsPoly {
-        assert!(coeffs.len() <= self.phi, "degree too large for the ring");
+        assert!(coeffs.len() <= self.phi(), "degree too large for the ring");
         let residues = self.primes[..level]
             .iter()
             .map(|&q| {
-                let mut row = vec![0u64; self.phi];
+                let mut row = vec![0u64; self.phi()];
                 for (r, &c) in row.iter_mut().zip(coeffs) {
                     *r = c % q;
                 }
@@ -781,14 +614,9 @@ impl RnsContext {
 
     /// Applies the Galois map `X -> X^a`.
     ///
-    /// In the negacyclic flavor, monomial images reduce by `X^n ≡ -1`:
-    /// `X^(ia mod 2n)` lands at `ia mod n` with a sign flip whenever
-    /// `ia mod 2n >= n`.
-    ///
     /// # Panics
     ///
-    /// Panics unless `gcd(a, m) = 1` (for the power-of-two index this
-    /// means `a` odd): a non-unit exponent (such as `0` or a multiple
+    /// Panics unless `gcd(a, m) = 1`: a non-unit exponent (such as `0` or a multiple
     /// of `m`) is not a Galois automorphism — it merges distinct
     /// monomials into shared slots and would silently return a
     /// corrupted ring element.
@@ -802,32 +630,15 @@ impl RnsContext {
             .residues
             .iter()
             .zip(&self.primes)
-            .map(|(row, &q)| match self.flavor {
-                RingFlavor::PrimeCyclotomic => {
-                    let mut wrapped = vec![0u64; self.m];
-                    for (i, &c) in row.iter().enumerate() {
-                        if c != 0 {
-                            let k = ((i as u64 * a) % m) as usize;
-                            wrapped[k] = add_mod(wrapped[k], c, q);
-                        }
+            .map(|(row, &q)| {
+                let mut wrapped = vec![0u64; self.m];
+                for (i, &c) in row.iter().enumerate() {
+                    if c != 0 {
+                        let k = ((i as u64 * a) % m) as usize;
+                        wrapped[k] = add_mod(wrapped[k], c, q);
                     }
-                    self.fold_row(wrapped, q)
                 }
-                RingFlavor::NegacyclicPow2 => {
-                    let n = self.phi;
-                    let mut out = vec![0u64; n];
-                    for (i, &c) in row.iter().enumerate() {
-                        if c != 0 {
-                            let k = ((i as u64 * a) % m) as usize;
-                            if k < n {
-                                out[k] = add_mod(out[k], c, q);
-                            } else {
-                                out[k - n] = sub_mod(out[k - n], c, q);
-                            }
-                        }
-                    }
-                    out
-                }
+                self.fold_row(wrapped, q)
             })
             .collect();
         RnsPoly { residues }
@@ -837,7 +648,7 @@ impl RnsContext {
     /// `X^(m-1) = -(1 + X + ... + X^(m-2))`.
     fn fold_row(&self, mut wrapped: Vec<u64>, q: u64) -> Vec<u64> {
         let top = wrapped[self.m - 1];
-        wrapped.truncate(self.phi);
+        wrapped.truncate(self.phi());
         if top != 0 {
             for c in wrapped.iter_mut() {
                 *c = sub_mod(*c, top, q);
@@ -1272,145 +1083,6 @@ mod tests {
         let a = ctx.zero(2);
         let b = ctx.zero(3);
         let _ = ctx.add(&a, &b);
-    }
-
-    #[test]
-    fn negacyclic_mul_is_bitwise_identical_to_schoolbook() {
-        for n in [8usize, 16, 32] {
-            let (ntt, school) = RnsContext::negacyclic_schoolbook_pair(n, 25, 3);
-            assert_eq!(ntt.flavor(), RingFlavor::NegacyclicPow2);
-            assert_eq!(ntt.phi(), n);
-            let mut rng = SmallRng::seed_from_u64(n as u64);
-            for level in 1..=3 {
-                let a = ntt.sample_uniform(level, &mut rng);
-                let b = ntt.sample_uniform(level, &mut rng);
-                assert_eq!(ntt.mul(&a, &b), school.mul(&a, &b), "n = {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn negacyclic_x_to_the_n_is_minus_one() {
-        // X^(n/2) * X^(n/2) = X^n ≡ -1 in Z_q[X]/(X^n + 1).
-        let (ntt, school) = RnsContext::negacyclic_schoolbook_pair(16, 25, 2);
-        let mut half = vec![0i64; 16];
-        half[8] = 1;
-        let x_half = ntt.from_signed(&half, 2);
-        let minus_one = ntt.neg(&ntt.from_signed(&[1], 2));
-        assert_eq!(ntt.mul(&x_half, &x_half), minus_one);
-        assert_eq!(school.mul(&x_half, &x_half), minus_one);
-    }
-
-    #[test]
-    fn negacyclic_ring_laws_hold() {
-        let (ntt, _) = RnsContext::negacyclic_schoolbook_pair(32, 25, 4);
-        let mut rng = SmallRng::seed_from_u64(30);
-        let a = ntt.sample_uniform(4, &mut rng);
-        let b = ntt.sample_uniform(4, &mut rng);
-        let c = ntt.sample_uniform(4, &mut rng);
-        let one = ntt.from_signed(&[1], 4);
-        assert_eq!(ntt.mul(&a, &one), a);
-        assert_eq!(ntt.mul(&a, &b), ntt.mul(&b, &a));
-        assert_eq!(
-            ntt.mul(&a, &ntt.add(&b, &c)),
-            ntt.add(&ntt.mul(&a, &b), &ntt.mul(&a, &c))
-        );
-    }
-
-    #[test]
-    fn negacyclic_eval_domain_roundtrips_and_multiplies() {
-        let (ntt, school) = RnsContext::negacyclic_schoolbook_pair(16, 25, 3);
-        let mut rng = SmallRng::seed_from_u64(31);
-        for level in 1..=3 {
-            assert!(ntt.eval_ready(level));
-            let a = ntt.sample_uniform(level, &mut rng);
-            let b = ntt.sample_uniform(level, &mut rng);
-            assert_eq!(
-                ntt.from_eval(&ntt.to_eval(&a)),
-                a,
-                "roundtrip, level {level}"
-            );
-            let via_eval = ntt.from_eval(&ntt.eval_mul(&ntt.to_eval(&a), &ntt.to_eval(&b), level));
-            assert_eq!(via_eval, ntt.mul(&a, &b), "vs fast path, level {level}");
-            assert_eq!(via_eval, school.mul(&a, &b), "vs oracle, level {level}");
-        }
-    }
-
-    #[test]
-    fn negacyclic_eval_mul_acc_is_sum_of_products() {
-        let (ntt, _) = RnsContext::negacyclic_schoolbook_pair(32, 25, 3);
-        let mut rng = SmallRng::seed_from_u64(32);
-        let level = 3;
-        let pairs: Vec<(RnsPoly, RnsPoly)> = (0..4)
-            .map(|_| {
-                (
-                    ntt.sample_uniform(level, &mut rng),
-                    ntt.sample_uniform(level, &mut rng),
-                )
-            })
-            .collect();
-        let mut acc = ntt.eval_zero(level);
-        for (a, b) in &pairs {
-            ntt.eval_mul_acc(&mut acc, &ntt.to_eval(a), &ntt.to_eval(b));
-        }
-        let mut want = ntt.zero(level);
-        for (a, b) in &pairs {
-            want = ntt.add(&want, &ntt.mul(a, b));
-        }
-        assert_eq!(ntt.from_eval(&acc), want);
-    }
-
-    #[test]
-    fn negacyclic_automorphism_is_multiplicative_for_odd_exponents() {
-        let (ntt, _) = RnsContext::negacyclic_schoolbook_pair(16, 25, 2);
-        let mut rng = SmallRng::seed_from_u64(33);
-        let a = ntt.sample_uniform(2, &mut rng);
-        let b = ntt.sample_uniform(2, &mut rng);
-        for g in [3u64, 5, 31] {
-            let lhs = ntt.automorphism(&ntt.mul(&a, &b), g);
-            let rhs = ntt.mul(&ntt.automorphism(&a, g), &ntt.automorphism(&b, g));
-            assert_eq!(lhs, rhs, "sigma_{g}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not coprime to m")]
-    fn negacyclic_automorphism_rejects_even_exponents() {
-        let (ntt, _) = RnsContext::negacyclic_schoolbook_pair(8, 25, 1);
-        let mut rng = SmallRng::seed_from_u64(34);
-        let a = ntt.sample_uniform(1, &mut rng);
-        let _ = ntt.automorphism(&a, 2);
-    }
-
-    #[test]
-    fn negacyclic_transform_size_is_half_the_padded_route() {
-        // At comparable ring dimension (φ = 126 vs n = 128), the
-        // prime flavor transforms at next_pow2(2·127 − 1) = 256 while
-        // the negacyclic flavor transforms at exactly 128.
-        let prime_ctx = RnsContext::new(127, ntt_chain_primes(25, 1, 8));
-        assert_eq!(prime_ctx.transform_size(), 256);
-        let (nega, _) = RnsContext::negacyclic_schoolbook_pair(128, 25, 1);
-        assert_eq!(nega.transform_size(), 128);
-        assert_eq!(nega.transform_size() * 2, prime_ctx.transform_size());
-    }
-
-    #[test]
-    fn negacyclic_unfriendly_chain_falls_back_to_schoolbook() {
-        // Generic descending primes lack the 2n | q - 1 structure; the
-        // context must still multiply correctly (oracle route).
-        let ctx = RnsContext::new_negacyclic(32, chain_primes(20, 3));
-        assert_eq!(ctx.ntt_ready_primes(), 0);
-        assert!(!ctx.eval_ready(1));
-        let mut rng = SmallRng::seed_from_u64(35);
-        let a = ctx.sample_uniform(2, &mut rng);
-        let one = ctx.from_signed(&[1], 2);
-        assert_eq!(ctx.mul(&a, &one), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn negacyclic_constructor_rejects_odd_index() {
-        let _ = RnsContext::new_negacyclic(31, chain_primes(20, 1));
     }
 
     #[test]

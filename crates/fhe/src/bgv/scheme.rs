@@ -7,36 +7,20 @@
 //! per-prime digit decomposition, and BGV modulus switching for noise
 //! control.
 //!
-//! The ring flavor follows the cyclotomic index `m` of
-//! [`BgvParams::m`]:
-//!
-//! * **odd prime `m`** — the paper's configuration. Plaintexts live in
-//!   `R_2` and pack bits into SIMD slots via the CRT structure
-//!   computed in [`crate::math::cyclotomic`]; slots rotate via Galois
-//!   automorphisms and their switching keys.
-//! * **power-of-two `m = 2n`** — the negacyclic ring
-//!   `Z_q[X]/(X^n + 1)` of "Level Up" (Mahdavi et al., 2023) and
-//!   Tueno et al.'s non-interactive decision trees, whose NTTs run at
-//!   size exactly `n` (half the prime flavor's padded transforms at
-//!   comparable degree). `2` ramifies completely in this ring
-//!   (`X^n + 1 ≡ (X + 1)^n mod 2`), so there is **no GF(2) slot
-//!   structure**: [`BgvScheme::try_slots`] is `None`, no rotation keys
-//!   are generated, and [`BgvScheme::rotate_slots`] panics
-//!   ([`BgvScheme::try_rotate_slots`] reports the missing capability
-//!   as a typed [`BackendError::Unsupported`] instead). The
-//!   [`crate::bgv::NegacyclicBackend`] packs logical vectors as one
-//!   scalar ciphertext per bit instead.
+//! The cyclotomic index [`BgvParams::m`] is an odd prime, the paper's
+//! configuration. Plaintexts live in `R_2` and pack bits into SIMD
+//! slots via the CRT structure computed in [`crate::math::cyclotomic`];
+//! slots rotate via Galois automorphisms and their switching keys.
 //!
 //! **Scope**: the algebra is real (decryption fails exactly when noise
 //! overflows; slots rotate via genuine automorphisms), but parameters
 //! are demonstration-sized and nothing here is constant-time — do not
 //! use for production secrets. See DESIGN.md substitution #1.
 
-use crate::backend::BackendError;
 use crate::bgv::ring::{EvalPoly, RnsContext, RnsPoly};
 use crate::math::cyclotomic::SlotStructure;
 use crate::math::gf2poly::Gf2Poly;
-use crate::math::modq::{inv_mod, mul_mod, negacyclic_chain_primes, ntt_chain_primes, pow_mod};
+use crate::math::modq::{inv_mod, mul_mod, ntt_chain_primes, pow_mod};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
@@ -45,10 +29,8 @@ use std::sync::OnceLock;
 /// BGV instantiation parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BgvParams {
-    /// Cyclotomic index `m`: an odd prime selects the prime-cyclotomic
-    /// ring (degree `m - 1`, GF(2) SIMD slots); a power of two selects
-    /// the negacyclic ring `Z_q[X]/(X^(m/2) + 1)` (degree `m/2`,
-    /// size-`m/2` transforms, no slot structure).
+    /// Cyclotomic index `m`, an odd prime: the ring has degree `m - 1`
+    /// and GF(2) SIMD slots.
     pub m: u64,
     /// Bits per chain prime.
     pub prime_bits: u32,
@@ -90,49 +72,9 @@ impl BgvParams {
         }
     }
 
-    /// Small negacyclic test parameters: `m = 32` (ring
-    /// `Z_q[X]/(X^16 + 1)`, size-16 transforms), 10-prime chain. Fast
-    /// enough for debug-mode unit tests.
-    pub fn negacyclic_tiny() -> Self {
-        Self {
-            m: 32,
-            prime_bits: 25,
-            chain_len: 10,
-            ks_digit_bits: 7,
-            error_eta: 2,
-            keygen_seed: 0x2A16,
-        }
-    }
-
-    /// Demo negacyclic parameters: `m = 256` (ring
-    /// `Z_q[X]/(X^128 + 1)`, size-128 transforms — half the prime
-    /// demo flavor's 256-point padded transforms at comparable
-    /// degree), 16-prime chain.
-    pub fn negacyclic_demo() -> Self {
-        Self {
-            m: 256,
-            prime_bits: 25,
-            chain_len: 16,
-            ks_digit_bits: 7,
-            error_eta: 2,
-            keygen_seed: 0x2A128,
-        }
-    }
-
-    /// Whether these parameters select the negacyclic power-of-two
-    /// ring flavor ([`crate::bgv::ring::RingFlavor::NegacyclicPow2`]).
-    pub fn is_negacyclic(&self) -> bool {
-        self.m.is_power_of_two()
-    }
-
-    /// Ring degree `φ(m)`: `m - 1` for an odd prime index, `m/2` for
-    /// a power-of-two index.
+    /// Ring degree `φ(m) = m - 1`.
     pub fn phi(&self) -> usize {
-        if self.is_negacyclic() {
-            self.m as usize / 2
-        } else {
-            self.m as usize - 1
-        }
+        self.m as usize - 1
     }
 }
 
@@ -201,10 +143,8 @@ impl PreparedPlaintext {
 pub struct BgvScheme {
     params: BgvParams,
     ring: RnsContext,
-    /// Slot packing/rotation geometry; `None` in the negacyclic flavor
-    /// (2 ramifies completely in power-of-two cyclotomics, so there is
-    /// no GF(2) CRT slot structure to pack into).
-    slots: Option<SlotStructure>,
+    /// Slot packing/rotation geometry.
+    slots: SlotStructure,
     secret: RnsPoly,
     public: (RnsPoly, RnsPoly),
     relin: KsKey,
@@ -224,10 +164,8 @@ const MUL_INPUT_BITS: f64 = 14.0;
 
 impl BgvScheme {
     /// Generates keys for the given parameters (deterministic in
-    /// `params.keygen_seed`). The modulus chain is NTT-friendly for
-    /// the selected ring flavor (`q ≡ 1 mod 2^s` with
-    /// `2^s = next_pow2(2m - 1)` for an odd prime index; `2n | q - 1`
-    /// for a power-of-two index `m = 2n`), so every ring
+    /// `params.keygen_seed`). The modulus chain is NTT-friendly
+    /// (`q ≡ 1 mod 2^s` with `2^s = next_pow2(2m - 1)`), so every ring
     /// multiplication takes the `O(n log n)` transform path.
     ///
     /// Rotation keys fork across the shared
@@ -235,6 +173,10 @@ impl BgvScheme {
     /// **bitwise identical** at every parallel degree because each
     /// key's randomness comes from its own split of the keygen rng
     /// (see [`BgvScheme::keygen_with_threads`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `params.m` is an odd prime `>= 5`.
     pub fn keygen(params: BgvParams) -> Self {
         Self::keygen_with_ntt(params, true)
     }
@@ -259,20 +201,13 @@ impl BgvScheme {
     /// `parallel_keygen_matches_serial_bitwise` parity test.
     pub fn keygen_with_threads(params: BgvParams, use_ntt: bool, threads: usize) -> Self {
         let m = params.m as usize;
-        let mut ring = if params.is_negacyclic() {
-            RnsContext::new_negacyclic(
-                m,
-                negacyclic_chain_primes(params.prime_bits, params.chain_len, m / 2),
-            )
-        } else {
-            let two_adic_order = RnsContext::ntt_size(m).trailing_zeros();
-            RnsContext::new(
-                m,
-                ntt_chain_primes(params.prime_bits, params.chain_len, two_adic_order),
-            )
-        };
+        let two_adic_order = RnsContext::ntt_size(m).trailing_zeros();
+        let mut ring = RnsContext::new(
+            m,
+            ntt_chain_primes(params.prime_bits, params.chain_len, two_adic_order),
+        );
         ring.set_ntt_enabled(use_ntt);
-        let slots = (!params.is_negacyclic()).then(|| SlotStructure::new(params.m));
+        let slots = SlotStructure::new(params.m);
         let mut rng = SmallRng::seed_from_u64(params.keygen_seed);
         let level = params.chain_len;
 
@@ -305,19 +240,13 @@ impl BgvScheme {
         // parallel fork below is bitwise identical to the serial loop.
         let s2 = scheme.ring.mul(&scheme.secret, &scheme.secret);
         scheme.relin = scheme.ks_keygen_seeded(&s2, rng.next_u64());
-        let specs: Vec<(u64, RnsPoly, u64)> = scheme
-            .slots
-            .as_ref()
-            .map(|slots| {
-                (1..slots.nslots())
-                    .map(|k| {
-                        let exponent = slots.rotation_exponent(k as isize);
-                        let target = scheme.ring.automorphism(&scheme.secret, exponent);
-                        (exponent, target, rng.next_u64())
-                    })
-                    .collect()
+        let specs: Vec<(u64, RnsPoly, u64)> = (1..scheme.slots.nslots())
+            .map(|k| {
+                let exponent = scheme.slots.rotation_exponent(k as isize);
+                let target = scheme.ring.automorphism(&scheme.secret, exponent);
+                (exponent, target, rng.next_u64())
             })
-            .unwrap_or_default();
+            .collect();
         let keys: Vec<KsKey> = if threads > 1 && specs.len() > 1 && !copse_pool::in_worker() {
             let scheme_ref = &scheme;
             copse_pool::global().scope_indices(specs.len(), threads, |i| {
@@ -427,21 +356,8 @@ impl BgvScheme {
     }
 
     /// The slot structure (packing/rotation geometry).
-    ///
-    /// # Panics
-    ///
-    /// Panics in the negacyclic flavor, which has no GF(2) slot
-    /// structure — use [`BgvScheme::try_slots`] when the flavor is not
-    /// statically known.
     pub fn slots(&self) -> &SlotStructure {
-        self.slots
-            .as_ref()
-            .expect("the negacyclic power-of-two ring has no GF(2) slot structure")
-    }
-
-    /// The slot structure, or `None` in the negacyclic flavor.
-    pub fn try_slots(&self) -> Option<&SlotStructure> {
-        self.slots.as_ref()
+        &self.slots
     }
 
     /// The RNS ring context (modulus chain, degree).
@@ -732,46 +648,13 @@ impl BgvScheme {
     ///
     /// # Panics
     ///
-    /// Panics if the required rotation key was not generated, or in
-    /// the negacyclic flavor (no slot structure, hence no slot
-    /// rotations — the [`crate::bgv::NegacyclicBackend`] rotates its
-    /// per-bit ciphertext vectors instead). The capability panic
-    /// carries the typed [`BackendError`] as its payload
-    /// (`panic_any`), so a `catch_unwind` boundary — the server's
-    /// evaluation workers — can downcast it back to the same error
-    /// the admission layer models instead of scraping a string. Use
-    /// [`BgvScheme::try_rotate_slots`] to get the capability failure
-    /// as a plain `Result` instead.
+    /// Panics if the required rotation key was not generated.
     pub fn rotate_slots(&self, a: &Ciphertext, k: isize) -> Ciphertext {
-        self.try_rotate_slots(a, k)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// [`BgvScheme::rotate_slots`] returning the negacyclic flavor's
-    /// missing slot structure as a typed error rather than a panic —
-    /// the form deploy-time admission and capability probing consume.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::Unsupported`] in the negacyclic flavor, which
-    /// has no GF(2) slot structure and hence no rotation
-    /// automorphisms.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if the flavor supports rotation but the required
-    /// rotation key was not generated at keygen — that is an internal
-    /// invariant violation, not a capability gap.
-    pub fn try_rotate_slots(&self, a: &Ciphertext, k: isize) -> Result<Ciphertext, BackendError> {
-        let slots = self.try_slots().ok_or(BackendError::Unsupported {
-            operation: "slot rotation",
-            reason: "the negacyclic power-of-two ring has no GF(2) slot structure",
-        })?;
-        let nslots = slots.nslots() as isize;
+        let nslots = self.slots.nslots() as isize;
         if k.rem_euclid(nslots) == 0 {
-            return Ok(a.clone());
+            return a.clone();
         }
-        let exponent = slots.rotation_exponent(k);
+        let exponent = self.slots.rotation_exponent(k);
         let key = self
             .rotation
             .get(&exponent)
@@ -779,11 +662,11 @@ impl BgvScheme {
         let r0 = self.ring.automorphism(&a.c0, exponent);
         let r1 = self.ring.automorphism(&a.c1, exponent);
         let (k0, k1) = self.key_switch(&r1, key);
-        Ok(Ciphertext {
+        Ciphertext {
             c0: self.ring.add(&r0, &k0),
             c1: k1,
             noise_bits: a.noise_bits.max(self.ks_noise_bits) + 1.0,
-        })
+        }
     }
 
     /// Key switching: homomorphically re-encrypts `poly * s'` (where
@@ -878,20 +761,6 @@ impl BgvScheme {
     /// exposed for benchmarking and transform-count ablations.
     pub fn key_switch_relin(&self, ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
         self.key_switch(&ct.c1, &self.relin)
-    }
-
-    /// The transparent encryption of zero at `level` active primes
-    /// (`c0 = c1 = 0`): decrypts to zero under any key and is a valid
-    /// operand for every homomorphic operation. Used where a public
-    /// constant forces a known-zero result — e.g. the
-    /// [`crate::bgv::NegacyclicBackend`] multiplying a slot by the
-    /// plaintext constant 0.
-    pub fn transparent_zero(&self, level: usize) -> Ciphertext {
-        Ciphertext {
-            c0: self.ring.zero(level),
-            c1: self.ring.zero(level),
-            noise_bits: 0.0,
-        }
     }
 
     /// One BGV modulus switch (drops the last active prime).
@@ -1173,152 +1042,12 @@ mod tests {
         }
     }
 
-    fn enc_poly_bits(s: &BgvScheme, bits: &[bool]) -> Ciphertext {
-        let mut p = Gf2Poly::zero();
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                p.flip(i);
-            }
-        }
-        s.encrypt_poly(&p)
-    }
-
-    fn dec_poly_bits(s: &BgvScheme, ct: &Ciphertext, n: usize) -> Vec<bool> {
-        let p = s.decrypt_poly(ct);
-        (0..n).map(|i| p.coeff(i)).collect()
-    }
-
     #[test]
-    fn negacyclic_scheme_roundtrips_and_has_no_slots() {
-        let s = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        assert!(s.try_slots().is_none());
-        assert!(s.rotation.is_empty(), "no rotation keys without slots");
-        assert_eq!(s.ring().phi(), 16);
-        assert_eq!(s.ring().transform_size(), 16);
-        let bits: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
-        let ct = enc_poly_bits(&s, &bits);
-        assert_eq!(dec_poly_bits(&s, &ct, 16), bits);
-    }
-
-    #[test]
-    fn negacyclic_scheme_add_is_coefficientwise_xor() {
-        let s = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let a: Vec<bool> = (0..16).map(|i| i % 2 == 0).collect();
-        let b: Vec<bool> = (0..16).map(|i| i % 5 == 0).collect();
-        let sum = s.add(&enc_poly_bits(&s, &a), &enc_poly_bits(&s, &b));
-        let want: Vec<bool> = a.iter().zip(&b).map(|(&x, &y)| x ^ y).collect();
-        assert_eq!(dec_poly_bits(&s, &sum, 16), want);
-    }
-
-    #[test]
-    fn negacyclic_scheme_multiplies_constants_with_relin() {
-        // Constant (degree-0) plaintexts stay constant under the ring
-        // product, so ct-ct multiplication — tensor, relinearisation
-        // key switch, modulus switching, all in the power-of-two ring
-        // — computes AND on the constant bit.
-        let s = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
-            let prod = s.mul(&enc_poly_bits(&s, &[x]), &enc_poly_bits(&s, &[y]));
-            assert_eq!(dec_poly_bits(&s, &prod, 1), [x && y], "{x} & {y}");
-        }
-    }
-
-    #[test]
-    fn negacyclic_scheme_multiplication_chain_within_budget() {
-        let s = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let mut acc = enc_poly_bits(&s, &[true]);
-        for i in 0..3 {
-            acc = s.mul(&acc, &enc_poly_bits(&s, &[true]));
-            assert_eq!(dec_poly_bits(&s, &acc, 1), [true], "depth {}", i + 1);
-        }
-        assert!(s.level(&acc) >= 1);
-    }
-
-    #[test]
-    fn negacyclic_eval_and_coeff_paths_are_bitwise_identical() {
-        // Same seed, same keys: the cached evaluation-domain paths
-        // (ψ-twisted size-n transforms) and the per-call coefficient
-        // route must produce identical ciphertext bits.
-        let on = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let mut off = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        off.set_eval_domain_enabled(false);
-        assert!(on.relin.parts_eval.is_some(), "keys pre-transformed");
-        let bits: Vec<bool> = (0..16).map(|i| i % 4 == 1).collect();
-        let (a_on, a_off) = (enc_poly_bits(&on, &bits), enc_poly_bits(&off, &bits));
-        assert_eq!(a_on.c0, a_off.c0);
-        let (b_on, b_off) = (enc_poly_bits(&on, &bits), enc_poly_bits(&off, &bits));
-        let (m_on, m_off) = (on.mul(&a_on, &b_on), off.mul(&a_off, &b_off));
-        assert_eq!(m_on.c0, m_off.c0, "tensor + relin c0");
-        assert_eq!(m_on.c1, m_off.c1, "tensor + relin c1");
-        let pt = {
-            let mut p = Gf2Poly::zero();
-            p.flip(0);
-            p.flip(3);
-            p
-        };
-        let (p_on, p_off) = (on.mul_plain(&a_on, &pt, 2), off.mul_plain(&a_off, &pt, 2));
-        assert_eq!(p_on.c0, p_off.c0, "mul_plain c0");
-        assert_eq!(p_on.c1, p_off.c1, "mul_plain c1");
-    }
-
-    #[test]
-    fn negacyclic_schoolbook_scheme_agrees_with_ntt_scheme() {
-        let ntt = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let school = BgvScheme::keygen_with_ntt(BgvParams::negacyclic_tiny(), false);
-        assert!(!school.ring().ntt_enabled());
-        let bits: Vec<bool> = (0..16).map(|i| i % 3 != 0).collect();
-        // Same keys: ciphertexts from the ψ-twisted NTT scheme decrypt
-        // on the schoolbook scheme.
-        let ct = enc_poly_bits(&ntt, &bits);
-        assert_eq!(dec_poly_bits(&school, &ct, 16), bits);
-    }
-
-    #[test]
-    fn negacyclic_scheme_rejects_slot_rotation_with_a_typed_panic() {
-        // The panic payload is the typed BackendError itself
-        // (panic_any), so a catch_unwind boundary downstream — the
-        // server worker — recovers the same error admission models.
-        let s = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let ct = enc_poly_bits(&s, &[true]);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = s.rotate_slots(&ct, 1);
-        }))
-        .unwrap_err();
-        let err = payload
-            .downcast_ref::<BackendError>()
-            .expect("panic payload is the typed BackendError");
-        assert!(matches!(
-            err,
-            BackendError::Unsupported {
-                operation: "slot rotation",
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("no GF(2) slot structure"));
-    }
-
-    #[test]
-    fn negacyclic_try_rotate_is_a_typed_unsupported_error() {
-        let s = BgvScheme::keygen(BgvParams::negacyclic_tiny());
-        let ct = enc_poly_bits(&s, &[true]);
-        let err = s.try_rotate_slots(&ct, 1).unwrap_err();
-        assert!(matches!(
-            err,
-            BackendError::Unsupported {
-                operation: "slot rotation",
-                ..
-            }
-        ));
-        // The Display text is the panic message `rotate_slots` keeps.
-        assert!(err.to_string().contains("no GF(2) slot structure"));
-    }
-
-    #[test]
-    fn cyclic_try_rotate_matches_rotate() {
-        let s = BgvScheme::keygen(BgvParams::tiny());
-        let bits: Vec<bool> = (0..6).map(|i| i % 2 == 0).collect();
-        let ct = enc_bits(&s, &bits);
-        let rotated = s.try_rotate_slots(&ct, 2).expect("cyclic flavor rotates");
-        assert_eq!(rotated.c0, s.rotate_slots(&ct, 2).c0);
+    #[should_panic(expected = "must be an odd prime")]
+    fn keygen_rejects_a_power_of_two_index() {
+        let _ = BgvScheme::keygen(BgvParams {
+            m: 32,
+            ..BgvParams::tiny()
+        });
     }
 }

@@ -6,7 +6,7 @@
 //! slot-wise XOR and `Multiply` is slot-wise AND (the plaintext space of
 //! BGV with `p = 2`, as used by HElib in the paper).
 //!
-//! Three interchangeable backends implement the [`FheBackend`] trait:
+//! Two interchangeable backends implement the [`FheBackend`] trait:
 //!
 //! * [`ClearBackend`] — exact packed semantics over plaintext bits with
 //!   per-ciphertext multiplicative-depth tracking, a hard depth budget
@@ -21,12 +21,6 @@
 //!   teaching-grade implementation (no constant-time hardening, modest
 //!   parameters) used for end-to-end encrypted runs and differential
 //!   testing against the clear backend.
-//! * [`NegacyclicBackend`] — the same BGV scheme over the negacyclic
-//!   power-of-two ring `Z_q[X]/(X^n + 1)` ([`RingFlavor`]), whose
-//!   `ψ`-twisted NTTs run at size exactly `n` — half the prime
-//!   flavor's zero-padded transforms at comparable dimension. `2`
-//!   ramifies completely there (no GF(2) slots), so it packs one
-//!   scalar ciphertext per bit and gets layout operations for free.
 //!
 //! Supporting types: [`BitVec`] (packed slot vectors), [`BitSliced`]
 //! (the paper's transposed fixed-point representation),
@@ -58,16 +52,10 @@ pub mod meter;
 pub mod params;
 
 pub use backend::{BackendError, CiphertextCodecError, FheBackend, MaybeEncrypted};
-pub use bgv::{
-    BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext, NegacyclicBackend, NegacyclicCiphertext,
-    NegacyclicPlaintext, RingFlavor,
-};
+pub use bgv::{BgvBackend, BgvCiphertext, BgvParams, BgvPlaintext};
 pub use bitslice::BitSliced;
 pub use bitvec::BitVec;
 pub use clear::{ClearBackend, ClearCiphertext, ClearConfig, ClearPlaintext};
 pub use cost::CostModel;
-pub use meter::{
-    transform_size_snapshot, transform_snapshot, FheOp, OpCounts, OpMeter, TransformCounts,
-    TransformSizeCounts,
-};
+pub use meter::{transform_snapshot, FheOp, OpCounts, OpMeter, TransformCounts};
 pub use params::{EncryptionParams, SecurityLevel};

@@ -198,30 +198,6 @@ pub fn ntt_chain_primes(bits: u32, count: usize, two_adic_order: u32) -> Vec<u64
     primes
 }
 
-/// Generates `count` distinct primes with `2n | q - 1` for a
-/// power-of-two ring degree `n`, descending from just below `2^bits`.
-///
-/// These are the chain primes of the **negacyclic** ring flavor
-/// `Z_q[X]/(X^n + 1)`: a primitive `2n`-th root of unity `ψ` exists in
-/// `Z_q^*`, so an [`NttPlan`](crate::math::ntt::NttPlan) of size
-/// exactly `n` with `ψ` twist tables always exists — no zero padding
-/// to `next_pow2(2n - 1)` needed. (Compare
-/// [`ntt_chain_primes`], which the prime-cyclotomic flavor calls with
-/// the padded transform's 2-adic order.)
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two `>= 2` or the constraints of
-/// [`ntt_chain_primes`] are violated (`bits` outside `3..=62`, or the
-/// 2-adicity `log2(2n)` leaving no `bits`-sized candidates).
-pub fn negacyclic_chain_primes(bits: u32, count: usize, n: usize) -> Vec<u64> {
-    assert!(
-        n.is_power_of_two() && n >= 2,
-        "negacyclic ring degree must be 2^k >= 2"
-    );
-    ntt_chain_primes(bits, count, (2 * n).trailing_zeros())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,24 +291,6 @@ mod tests {
     #[should_panic(expected = "leaves no")]
     fn ntt_chain_primes_rejects_oversized_two_adicity() {
         let _ = ntt_chain_primes(10, 1, 10);
-    }
-
-    #[test]
-    fn negacyclic_chain_primes_admit_a_2n_th_root() {
-        for n in [8usize, 16, 64, 128] {
-            let ps = negacyclic_chain_primes(25, 4, n);
-            assert_eq!(ps.len(), 4);
-            for &p in &ps {
-                assert!(is_prime(p));
-                assert_eq!((p - 1) % (2 * n as u64), 0, "{p} lacks 2n | q - 1");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k >= 2")]
-    fn negacyclic_chain_primes_rejects_non_power_of_two_degree() {
-        let _ = negacyclic_chain_primes(25, 1, 24);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! An [`NttPlan`] fixes one `(prime, size)` pair and precomputes
 //! everything a radix-2 transform of that size needs: the bit-reversal
-//! permutation, the forward and inverse twiddle tables (powers of a
-//! primitive `n`-th root of unity), and — when the prime allows it —
-//! the `ψ` tables for **negacyclic** convolution mod `X^n + 1`.
+//! permutation and the forward and inverse twiddle tables (powers of a
+//! primitive `n`-th root of unity).
 //!
 //! The butterflies use Shoup's precomputed-quotient multiplication:
 //! alongside every twiddle `w` the plan stores
@@ -14,20 +13,13 @@
 //! every chain prime satisfies (`modq::ntt_chain_primes` caps at 62
 //! bits).
 //!
-//! The BGV ring ([`crate::bgv::ring::RnsContext`]) drives plans two
-//! ways. The **prime-cyclotomic** flavor uses plans of size
+//! The BGV ring ([`crate::bgv::ring::RnsContext`]) uses plans of size
 //! `next_pow2(2m - 1)` for *linear* convolution of two degree-`< φ(m)`
 //! residue rows: zero-pad, forward, pointwise, inverse, then wrap mod
-//! `X^m - 1` and fold by `Φ_m` outside this module. The **negacyclic
-//! power-of-two** flavor works directly in `Z_q[X]/(X^n + 1)` with
-//! plans of size exactly `n` — no zero padding, half the transform
-//! length — via the `ψ`-twisted [`NttPlan::forward_negacyclic`] /
-//! [`NttPlan::inverse_negacyclic`] pair, whose pointwise products are
-//! negacyclic convolutions already reduced into the ring.
+//! `X^m - 1` and fold by `Φ_m` outside this module.
 
 use crate::math::modq::{inv_mod, is_prime, mul_mod, pow_mod};
 use crate::meter;
-use std::sync::OnceLock;
 
 /// `(a + b) mod q` for canonical operands (`a, b < q < 2^63`).
 #[inline]
@@ -107,14 +99,6 @@ pub struct NttPlan {
     inv: Twiddles,
     n_inv: u64,
     n_inv_shoup: u64,
-    /// `ψ^i` and `ψ^{-i}` tables (`ψ` a primitive `2n`-th root) when
-    /// `2n | q - 1`; enables negacyclic convolution mod `X^n + 1`.
-    ///
-    /// Built lazily on first negacyclic use: the BGV path never twists
-    /// (it zero-pads for linear convolution), so eager construction at
-    /// every plan — one `ψ`/`ψ^{-1}` power-and-Shoup table pair per
-    /// chain prime — was pure keygen waste.
-    psi: OnceLock<Option<(Twiddles, Twiddles)>>,
 }
 
 /// Finds an element of order exactly `n` (a power of two dividing
@@ -167,26 +151,7 @@ impl NttPlan {
             inv: Twiddles::powers(w_inv, n / 2, q),
             n_inv,
             n_inv_shoup: shoup(n_inv, q),
-            psi: OnceLock::new(),
         })
-    }
-
-    /// The `ψ` twist tables, built on first demand (`None` when
-    /// `2n ∤ q - 1` or no primitive `2n`-th root is found).
-    fn psi_tables(&self) -> Option<&(Twiddles, Twiddles)> {
-        self.psi
-            .get_or_init(|| {
-                if !(self.q - 1).is_multiple_of(2 * self.n as u64) {
-                    return None;
-                }
-                let psi = root_of_unity(self.q, 2 * self.n as u64)?;
-                let psi_inv = inv_mod(psi, self.q).expect("root is a unit");
-                Some((
-                    Twiddles::powers(psi, self.n, self.q),
-                    Twiddles::powers(psi_inv, self.n, self.q),
-                ))
-            })
-            .as_ref()
     }
 
     /// The prime field modulus.
@@ -197,12 +162,6 @@ impl NttPlan {
     /// The transform length.
     pub fn size(&self) -> usize {
         self.n
-    }
-
-    /// Whether [`NttPlan::negacyclic_mul`] is available (`2n | q - 1`).
-    /// Probing forces the lazy `ψ` tables.
-    pub fn supports_negacyclic(&self) -> bool {
-        self.psi_tables().is_some()
     }
 
     fn permute(&self, a: &mut [u64]) {
@@ -247,7 +206,7 @@ impl NttPlan {
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length must equal the plan size");
         debug_assert!(a.iter().all(|&x| x < self.q), "operands must be canonical");
-        meter::record_ntt_forward(self.n);
+        meter::record_ntt_forward();
         self.permute(a);
         self.butterflies(a, &self.fwd);
     }
@@ -260,50 +219,11 @@ impl NttPlan {
     /// Panics if `a.len() != n`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length must equal the plan size");
-        meter::record_ntt_inverse(self.n);
+        meter::record_ntt_inverse();
         self.permute(a);
         self.butterflies(a, &self.inv);
         for x in a.iter_mut() {
             *x = mul_shoup(*x, self.n_inv, self.n_inv_shoup, self.q);
-        }
-    }
-
-    /// In-place `ψ`-twisted forward transform: multiplies coefficient
-    /// `i` by `ψ^i` (a primitive `2n`-th root), then runs the cyclic
-    /// forward transform. Pointwise products of twisted spectra are
-    /// **negacyclic** convolutions (products mod `X^n + 1`), already
-    /// reduced into the ring — the evaluation-domain form of the
-    /// power-of-two ring flavor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n` or the plan lacks `ψ` tables
-    /// ([`NttPlan::supports_negacyclic`] is false).
-    pub fn forward_negacyclic(&self, a: &mut [u64]) {
-        let (psi, _) = self
-            .psi_tables()
-            .expect("prime lacks a primitive 2n-th root; negacyclic unsupported");
-        assert_eq!(a.len(), self.n, "operand length must equal the plan size");
-        for (i, x) in a.iter_mut().enumerate() {
-            *x = mul_shoup(*x, psi.pow[i], psi.pow_shoup[i], self.q);
-        }
-        self.forward(a);
-    }
-
-    /// In-place inverse of [`NttPlan::forward_negacyclic`]: the cyclic
-    /// inverse transform followed by the `ψ^{-i}` untwist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n` or the plan lacks `ψ` tables.
-    pub fn inverse_negacyclic(&self, a: &mut [u64]) {
-        let (_, psi_inv) = self
-            .psi_tables()
-            .expect("prime lacks a primitive 2n-th root; negacyclic unsupported");
-        assert_eq!(a.len(), self.n, "operand length must equal the plan size");
-        self.inverse(a);
-        for (i, x) in a.iter_mut().enumerate() {
-            *x = mul_shoup(*x, psi_inv.pow[i], psi_inv.pow_shoup[i], self.q);
         }
     }
 
@@ -331,41 +251,12 @@ impl NttPlan {
         self.inverse(&mut fa);
         fa
     }
-
-    /// Length-`n` **negacyclic** convolution (product mod `X^n + 1`)
-    /// via the `ψ`-twisted cyclic transform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan lacks `ψ` tables
-    /// ([`NttPlan::supports_negacyclic`] is false) or an operand is
-    /// longer than the plan size.
-    pub fn negacyclic_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        assert!(
-            a.len() <= self.n && b.len() <= self.n,
-            "operands exceed the transform length"
-        );
-        let pad = |src: &[u64]| -> Vec<u64> {
-            let mut out = vec![0u64; self.n];
-            out[..src.len()].copy_from_slice(src);
-            out
-        };
-        let mut fa = pad(a);
-        let mut fb = pad(b);
-        self.forward_negacyclic(&mut fa);
-        self.forward_negacyclic(&mut fb);
-        for (x, &y) in fa.iter_mut().zip(&fb) {
-            *x = mul_mod(*x, y, self.q);
-        }
-        self.inverse_negacyclic(&mut fa);
-        fa
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::math::modq::{add_mod, ntt_chain_primes, sub_mod};
+    use crate::math::modq::{add_mod, ntt_chain_primes};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -375,22 +266,6 @@ mod tests {
             for (j, &bj) in b.iter().enumerate() {
                 let k = (i + j) % n;
                 out[k] = add_mod(out[k], mul_mod(ai, bj, q), q);
-            }
-        }
-        out
-    }
-
-    fn naive_negacyclic(a: &[u64], b: &[u64], n: usize, q: u64) -> Vec<u64> {
-        let mut out = vec![0u64; n];
-        for (i, &ai) in a.iter().enumerate() {
-            for (j, &bj) in b.iter().enumerate() {
-                let p = mul_mod(ai, bj, q);
-                let k = (i + j) % n;
-                if ((i + j) / n).is_multiple_of(2) {
-                    out[k] = add_mod(out[k], p, q);
-                } else {
-                    out[k] = sub_mod(out[k], p, q);
-                }
             }
         }
         out
@@ -442,19 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn negacyclic_mul_matches_naive() {
-        let p = plan(30, 64);
-        assert!(p.supports_negacyclic());
-        let mut rng = SmallRng::seed_from_u64(3);
-        let a: Vec<u64> = (0..64).map(|_| rng.gen_range(0..p.q())).collect();
-        let b: Vec<u64> = (0..64).map(|_| rng.gen_range(0..p.q())).collect();
-        assert_eq!(
-            p.negacyclic_mul(&a, &b),
-            naive_negacyclic(&a, &b, 64, p.q())
-        );
-    }
-
-    #[test]
     fn unfriendly_prime_has_no_plan() {
         // 2^25 - 39 is prime with q - 1 = 2 * odd: no 64-point NTT.
         let q = 33_554_393u64;
@@ -467,33 +329,17 @@ mod tests {
     }
 
     #[test]
-    fn psi_tables_are_lazy_and_idempotent() {
-        let p = plan(30, 64);
-        assert!(p.psi.get().is_none(), "no ψ tables before first use");
-        assert!(p.supports_negacyclic());
-        assert!(p.psi.get().is_some(), "probe forces the tables");
-        // A clone of an initialised plan carries the tables along.
-        let c = p.clone();
-        assert!(c.psi.get().is_some());
-        // A prime with 2n | q - 1 but probed via negacyclic_mul directly
-        // also initialises on demand.
-        let fresh = plan(25, 32);
-        let a = vec![1u64; 32];
-        let got = fresh.negacyclic_mul(&a, &a);
-        assert_eq!(got, naive_negacyclic(&a, &a, 32, fresh.q()));
-    }
-
-    #[test]
     fn transforms_are_counted() {
-        // The counters are process-wide, so concurrently running tests
-        // may add to the delta; assert the floor this call contributes.
+        // A scoped meter sees only this thread's transforms, so the
+        // count is exact even while other tests run NTTs.
         let p = plan(25, 32);
         let a: Vec<u64> = (0..32).collect();
-        let before = crate::meter::transform_snapshot();
+        let scope = std::sync::Arc::new(crate::meter::OpMeter::new());
+        let _guard = scope.install_scope();
         let _ = p.cyclic_mul(&a, &a);
-        let delta = crate::meter::transform_snapshot().since(&before);
-        assert!(delta.forward >= 2, "one forward per operand: {delta}");
-        assert!(delta.inverse >= 1, "one inverse for the product: {delta}");
+        let delta = scope.transforms();
+        assert_eq!(delta.forward, 2, "one forward per operand: {delta}");
+        assert_eq!(delta.inverse, 1, "one inverse for the product: {delta}");
     }
 
     #[test]

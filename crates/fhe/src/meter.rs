@@ -18,12 +18,6 @@ static NTT_FORWARD: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of inverse NTTs.
 static NTT_INVERSE: AtomicU64 = AtomicU64::new(0);
 
-/// Largest transform size bucket tracked: `2^(SIZE_BUCKETS - 1)`.
-const SIZE_BUCKETS: usize = 32;
-/// Process-wide transform counts bucketed by `log2(size)` (transform
-/// lengths are always powers of two), forward + inverse combined.
-static NTT_BY_LOG2: [AtomicU64; SIZE_BUCKETS] = [const { AtomicU64::new(0) }; SIZE_BUCKETS];
-
 /// A snapshot of low-level NTT transform counts.
 ///
 /// Transforms are the dominant cost of every homomorphic operation on
@@ -32,8 +26,9 @@ static NTT_BY_LOG2: [AtomicU64; SIZE_BUCKETS] = [const { AtomicU64::new(0) }; SI
 /// a key-switch digit loop pays one forward transform per digit row
 /// instead of several per digit product. Unlike [`OpCounts`], which
 /// meters *semantic* operations per backend, transforms are counted
-/// process-wide (the ring context has no handle to a backend meter);
-/// callers diff snapshots around the region of interest, exactly like
+/// process-wide (the ring context has no handle to a backend meter) and
+/// on the installed scoped meter ([`OpMeter::transforms`]); callers
+/// diff snapshots around the region of interest, exactly like
 /// [`OpCounts::since`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransformCounts {
@@ -74,31 +69,34 @@ impl fmt::Display for TransformCounts {
     }
 }
 
-/// Records one forward NTT of length `size` (called from the
-/// transform hot path).
+/// Records one forward NTT (called from the transform hot path) on the
+/// process-wide counter and on the installed scoped meter, if any.
 #[inline]
-pub(crate) fn record_ntt_forward(size: usize) {
+pub(crate) fn record_ntt_forward() {
     NTT_FORWARD.fetch_add(1, Ordering::Relaxed);
-    record_size(size);
+    with_scoped_meter(|m| {
+        m.ntt_forward.fetch_add(1, Ordering::Relaxed);
+    });
 }
 
-/// Records one inverse NTT of length `size`.
+/// Records one inverse NTT, like [`record_ntt_forward`].
 #[inline]
-pub(crate) fn record_ntt_inverse(size: usize) {
+pub(crate) fn record_ntt_inverse() {
     NTT_INVERSE.fetch_add(1, Ordering::Relaxed);
-    record_size(size);
+    with_scoped_meter(|m| {
+        m.ntt_inverse.fetch_add(1, Ordering::Relaxed);
+    });
 }
 
-/// The histogram bucket for a transform of length `size` — shared by
-/// the recording and query paths so they cannot diverge.
+/// Calls `f` with the [`OpMeter`] installed as the current task
+/// context ([`OpMeter::install_scope`]), if there is one.
 #[inline]
-fn size_bucket(size: usize) -> usize {
-    (size.max(1).trailing_zeros() as usize).min(SIZE_BUCKETS - 1)
-}
-
-#[inline]
-fn record_size(size: usize) {
-    NTT_BY_LOG2[size_bucket(size)].fetch_add(1, Ordering::Relaxed);
+fn with_scoped_meter(f: impl FnOnce(&OpMeter)) {
+    copse_pool::with_task_context(|ctx| {
+        if let Some(scoped) = ctx.and_then(|c| c.downcast_ref::<OpMeter>()) {
+            f(scoped);
+        }
+    });
 }
 
 /// Snapshot of the process-wide transform counters.
@@ -107,67 +105,6 @@ pub fn transform_snapshot() -> TransformCounts {
         forward: NTT_FORWARD.load(Ordering::Relaxed),
         inverse: NTT_INVERSE.load(Ordering::Relaxed),
     }
-}
-
-/// A snapshot of transform counts **by transform length** (forward and
-/// inverse combined), process-wide like [`TransformCounts`].
-///
-/// This is the witness the ring-flavor tests use to prove *which* plan
-/// ran: the prime-cyclotomic route transforms at `next_pow2(2m - 1)`
-/// while the negacyclic power-of-two route transforms at exactly the
-/// ring degree `n` — half the length or less. Counting alone cannot
-/// distinguish them; counting per size can.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransformSizeCounts {
-    /// `counts[k]` is the number of transforms of length `2^k`.
-    counts: [u64; SIZE_BUCKETS],
-}
-
-impl TransformSizeCounts {
-    /// Transforms of exactly length `size` (a power of two).
-    pub fn at(&self, size: usize) -> u64 {
-        self.counts[size_bucket(size)]
-    }
-
-    /// Transforms of any length.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Component-wise difference `self - earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bucket of `earlier` exceeds `self`'s.
-    pub fn since(&self, earlier: &TransformSizeCounts) -> TransformSizeCounts {
-        let mut counts = [0u64; SIZE_BUCKETS];
-        for (k, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[k]
-                .checked_sub(earlier.counts[k])
-                .expect("per-size transform counter went backwards");
-        }
-        TransformSizeCounts { counts }
-    }
-
-    /// The `(size, count)` pairs with nonzero counts, ascending by
-    /// size.
-    pub fn nonzero(&self) -> Vec<(usize, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(k, &c)| (1usize << k, c))
-            .collect()
-    }
-}
-
-/// Snapshot of the process-wide per-size transform counters.
-pub fn transform_size_snapshot() -> TransformSizeCounts {
-    let mut counts = [0u64; SIZE_BUCKETS];
-    for (slot, cell) in counts.iter_mut().zip(&NTT_BY_LOG2) {
-        *slot = cell.load(Ordering::Relaxed);
-    }
-    TransformSizeCounts { counts }
 }
 
 /// The primitive homomorphic operations of the paper's cost vocabulary.
@@ -334,6 +271,8 @@ pub struct OpMeter {
     constant_add: AtomicU64,
     multiply: AtomicU64,
     constant_multiply: AtomicU64,
+    ntt_forward: AtomicU64,
+    ntt_inverse: AtomicU64,
 }
 
 impl OpMeter {
@@ -351,13 +290,11 @@ impl OpMeter {
     /// one backend concurrently and fork work onto the shared pool.
     pub fn record(&self, op: FheOp) {
         self.cell(op).fetch_add(1, Ordering::Relaxed);
-        copse_pool::with_task_context(|ctx| {
-            if let Some(scoped) = ctx.and_then(|c| c.downcast_ref::<OpMeter>()) {
-                // A pass may meter through the scoped meter itself
-                // (e.g. nested instrumentation); never double-count.
-                if !std::ptr::eq(scoped, self) {
-                    scoped.cell(op).fetch_add(1, Ordering::Relaxed);
-                }
+        with_scoped_meter(|scoped| {
+            // A pass may meter through the scoped meter itself
+            // (e.g. nested instrumentation); never double-count.
+            if !std::ptr::eq(scoped, self) {
+                scoped.cell(op).fetch_add(1, Ordering::Relaxed);
             }
         });
     }
@@ -385,11 +322,24 @@ impl OpMeter {
         }
     }
 
+    /// NTT transforms run while this meter was the installed scope: on
+    /// the installing thread and on pool tasks forked from it. Unlike
+    /// [`transform_snapshot`], work running concurrently elsewhere in
+    /// the process does not add to it.
+    pub fn transforms(&self) -> TransformCounts {
+        TransformCounts {
+            forward: self.ntt_forward.load(Ordering::Relaxed),
+            inverse: self.ntt_inverse.load(Ordering::Relaxed),
+        }
+    }
+
     /// Resets all counters to zero.
     pub fn reset(&self) {
         for op in FheOp::ALL {
             self.cell(op).store(0, Ordering::Relaxed);
         }
+        self.ntt_forward.store(0, Ordering::Relaxed);
+        self.ntt_inverse.store(0, Ordering::Relaxed);
     }
 
     fn cell(&self, op: FheOp) -> &AtomicU64 {
@@ -555,32 +505,24 @@ mod tests {
 
     #[test]
     fn transform_counters_accumulate_and_diff() {
-        let before = transform_snapshot();
-        record_ntt_forward(64);
-        record_ntt_forward(64);
-        record_ntt_inverse(64);
-        let delta = transform_snapshot().since(&before);
+        let scope = Arc::new(OpMeter::new());
+        let _guard = scope.install_scope();
+        let (before, scoped_before) = (transform_snapshot(), scope.transforms());
+        record_ntt_forward();
+        record_ntt_forward();
+        record_ntt_inverse();
+        // The scoped counts see only this thread, so they are exact.
+        let delta = scope.transforms().since(&scoped_before);
         assert_eq!(delta.forward, 2);
         assert_eq!(delta.inverse, 1);
         assert_eq!(delta.total(), 3);
         assert_eq!(delta.to_string(), "fwd=2 inv=1");
-    }
-
-    #[test]
-    fn per_size_counters_bucket_by_length() {
-        let before = transform_size_snapshot();
-        record_ntt_forward(16);
-        record_ntt_forward(16);
-        record_ntt_inverse(256);
-        // Counters are process-wide, so concurrently running tests may
-        // add to the delta; assert the floor this test contributes.
-        let delta = transform_size_snapshot().since(&before);
-        assert!(delta.at(16) >= 2, "{:?}", delta.nonzero());
-        assert!(delta.at(256) >= 1, "{:?}", delta.nonzero());
-        assert!(delta.total() >= 3);
-        let nonzero = delta.nonzero();
-        assert!(nonzero.iter().any(|&(s, c)| s == 16 && c >= 2));
-        assert!(nonzero.iter().any(|&(s, c)| s == 256 && c >= 1));
+        // The process-wide counters also take concurrently running
+        // tests' transforms, so they bound this test's from above.
+        let global = transform_snapshot().since(&before);
+        assert!(global.forward >= 2 && global.inverse >= 1, "{global}");
+        scope.reset();
+        assert_eq!(scope.transforms(), TransformCounts::default());
     }
 
     #[test]

@@ -601,7 +601,7 @@ fn rejection_text(detail: &RejectionDetail) -> String {
             detail.required, detail.available
         ),
         RejectionCode::SlotRotationUnsupported => format!(
-            "circuit needs {} slot rotations but the backend has no slot structure",
+            "circuit needs {} slot rotations but the backend cannot rotate slots",
             detail.required
         ),
         RejectionCode::SlotCapacityExceeded => format!(
@@ -612,10 +612,9 @@ fn rejection_text(detail: &RejectionDetail) -> String {
 }
 
 /// The message a worker answers a panicked evaluation with. A typed
-/// [`BackendError`] payload (e.g. `rotate_slots` on the negacyclic
-/// ring, reachable only under [`AdmissionPolicy::Warn`]) survives as
-/// the same text the admission layer would have used — a clean typed
-/// rejection, not a scraped panic string.
+/// [`BackendError`] payload (e.g. a packed block-layout primitive the
+/// backend does not implement) survives as its own typed text — a
+/// clean rejection, not a scraped panic string.
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(e) = panic.downcast_ref::<BackendError>() {
         return format!("backend capability error: {e}");

@@ -1,15 +1,15 @@
 //! Deploy-time admission: the server must refuse — with a structured
 //! wire diagnostic — any model whose circuit the backend cannot
 //! evaluate, *before* the first query arrives, while continuing to
-//! serve the models that do fit. Covers the two concrete failure
-//! classes the analyzer proves statically: multiplicative depth over
-//! the modulus chain, and slot rotations on a rotation-free
-//! (negacyclic) ring.
+//! serve the models that do fit. Covers the concrete failure class the
+//! analyzer proves statically over the wire: multiplicative depth over
+//! the modulus chain. (Rotation admission is covered by the analyzer's
+//! unit tests; every shipped backend rotates.)
 
 use copse::core::compiler::CompileOptions;
 use copse::core::runtime::ModelForm;
 use copse::core::wire::{Frame, RejectionCode};
-use copse::fhe::{BgvBackend, BgvParams, ClearBackend, ClearConfig, FheBackend};
+use copse::fhe::{ClearBackend, ClearConfig, FheBackend};
 use copse::forest::microbench::{self, MicrobenchSpec};
 use copse::forest::model::Forest;
 use copse::server::transport::{read_frame, write_frame};
@@ -118,44 +118,6 @@ fn depth_exceeding_model_is_rejected_before_deploy() {
     assert_eq!(client.list_models().expect("list"), vec!["shallow"]);
     client.classify(&[1, 2]).expect("shallow model serves");
     client.close().expect("close");
-    handle.shutdown();
-}
-
-#[test]
-fn slot_rotation_on_a_negacyclic_ring_is_rejected() {
-    // The negacyclic power-of-two ring has no slot group, so the
-    // matmul stages' rotations are statically unevaluable.
-    let backend = Arc::new(BgvBackend::new(BgvParams::negacyclic_tiny()));
-    assert!(!backend.supports_slot_rotation());
-    let server = ServerBuilder::new(Arc::clone(&backend))
-        .register(
-            "rotating",
-            &forest_of_depth(2),
-            CompileOptions::default(),
-            ModelForm::Plain,
-        )
-        .expect("compiles")
-        .bind("127.0.0.1:0")
-        .expect("bind");
-
-    let rejections = server.rejections();
-    assert_eq!(rejections.len(), 1);
-    assert_eq!(rejections[0].code, RejectionCode::SlotRotationUnsupported);
-    assert!(rejections[0].required > 0, "counts the needed rotations");
-
-    let handle = server.spawn().expect("spawn");
-    match hello(handle.addr(), "rotating") {
-        Frame::Error {
-            message, detail, ..
-        } => {
-            assert!(message.contains("no slot structure"), "{message}");
-            assert_eq!(
-                detail.expect("structured detail").code,
-                RejectionCode::SlotRotationUnsupported
-            );
-        }
-        other => panic!("expected rejection, got {other:?}"),
-    }
     handle.shutdown();
 }
 
