@@ -613,10 +613,11 @@ pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
     use copse_core::parallel::Parallelism;
     use copse_fhe::bgv::ring::RnsContext;
     use copse_fhe::bgv::scheme::{BgvParams, BgvScheme};
-    use copse_fhe::{transform_snapshot, BgvBackend, BitVec, FheBackend};
+    use copse_fhe::{BgvBackend, BitVec, FheBackend, OpMeter};
     use copse_trace::Stopwatch;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     let reps = reps.max(1);
     let median_ms = |mut f: Box<dyn FnMut()>| -> f64 {
@@ -652,12 +653,16 @@ pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
     let bits = BitVec::from_fn(nslots, |i| i % 3 != 0);
     let ct = eval.encrypt_poly(&eval.slots().encode(&bits));
 
-    let before = transform_snapshot();
-    let _ = std::hint::black_box(eval.rotate_slots(&ct, 1));
-    let rotate_eval_transforms = transform_snapshot().since(&before).total();
-    let before = transform_snapshot();
-    let _ = std::hint::black_box(coeff.rotate_slots(&ct, 1));
-    let rotate_coeff_transforms = transform_snapshot().since(&before).total();
+    // Transforms of one rotate each, read from a scoped meter so no
+    // other work in the process adds to them.
+    let rotate_transforms = |scheme: &BgvScheme| {
+        let meter = Arc::new(OpMeter::new());
+        let _scope = meter.install_scope();
+        let _ = std::hint::black_box(scheme.rotate_slots(&ct, 1));
+        meter.transforms().total()
+    };
+    let rotate_eval_transforms = rotate_transforms(&eval);
+    let rotate_coeff_transforms = rotate_transforms(&coeff);
 
     let rotate_eval_ms = median_ms(Box::new(|| {
         let _ = std::hint::black_box(eval.rotate_slots(&ct, 1));
@@ -674,7 +679,7 @@ pub fn measure_kernels(reps: usize, threads: usize) -> KernelMedians {
 
     // The threads dimension: identical kernels, identical outputs,
     // forked across the shared worker pool (per-prime rows and
-    // key-switch digit rows). The knob is flipped back afterwards so
+    // key-switch target-prime rows). The knob is flipped back afterwards so
     // later single-thread measurements stay honest.
     let threads = threads.max(1);
     eval.set_threads(threads);
@@ -1210,10 +1215,10 @@ pub fn capture_chrome_trace(threads: usize) -> String {
     json
 }
 
-/// Rotate / key-switch kernel exhibit: cached evaluation-domain key
-/// switching (key parts pre-transformed at keygen, each digit row
-/// transformed once, one inverse per output row) vs the per-call
-/// coefficient-domain route, at demo parameters. Key switching is the
+/// Rotate / key-switch kernel exhibit: cached evaluation-domain hybrid
+/// key switching (key parts pre-transformed at keygen, each digit
+/// transformed once per target prime, one inverse per output row) vs
+/// the per-call coefficient-domain route, at demo parameters. Key switching is the
 /// dominant cost of the rotate-heavy `mat_vec` at COPSE's heart, so
 /// this speedup propagates to every server-side batch.
 pub fn rotate_keyswitch(k: &KernelMedians) -> String {
@@ -1270,8 +1275,9 @@ pub fn rotate_keyswitch(k: &KernelMedians) -> String {
     );
     let _ = writeln!(
         out,
-        "expected shape: transforms per key switch drop from ~3 per digit product\n\
-         to ~1 per digit (+2 per output row); >= 3x wall-clock on rotate_slots;\n\
+        "expected shape: a hybrid key switch at level L runs L(L+1) forward and\n\
+         2(L+1) inverse transforms on the eval route against 6L(L+1) per call\n\
+         (306 vs 1632 at L = 16); >= 3x wall-clock on rotate_slots;\n\
          the threads column tracks host cores (>= 2x mat_vec at 4 threads on >= 4 cores)"
     );
     out

@@ -140,7 +140,7 @@ pub trait FheBackend: Send + Sync {
     /// Sets the backend's *kernel-level* parallel degree: how many
     /// workers of the shared `copse-pool` runtime a single homomorphic
     /// operation may fork onto (the BGV backend parallelises per-prime
-    /// residue rows and key-switch digit rows). Semantically a no-op —
+    /// residue rows and key-switch target-prime rows). Semantically a no-op —
     /// every ciphertext must be bitwise identical for every value, so
     /// `1` is always a valid implementation — and the default ignores
     /// the hint.

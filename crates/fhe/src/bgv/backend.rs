@@ -793,6 +793,28 @@ mod tests {
     }
 
     #[test]
+    fn ciphertext_codec_rejects_a_level_reaching_the_special_prime() {
+        // Key material carries one row past the chain, for the
+        // key-switching special prime; a ciphertext claiming that many
+        // rows must be refused, not read against the special prime.
+        use crate::backend::CiphertextCodecError;
+        let be = BgvBackend::tiny();
+        let chain_len = be.scheme().params().chain_len;
+        assert!(be.scheme().ring().special_prime().is_some());
+        let good = be.serialize_ciphertext(&be.encrypt_bits(&bits(&[true, false])));
+        let phi = be.scheme().ring().phi();
+        let mut forged = good[..1 + 8 + 8].to_vec();
+        for _ in 0..2 {
+            forged.extend_from_slice(&(chain_len as u32 + 1).to_le_bytes());
+            forged.extend(std::iter::repeat_n(0u8, (chain_len + 1) * phi * 8));
+        }
+        assert_eq!(
+            be.deserialize_ciphertext(&forged).unwrap_err(),
+            CiphertextCodecError::Malformed("level outside the modulus chain")
+        );
+    }
+
+    #[test]
     fn packed_block_primitives_match_the_clear_reference() {
         // Differential oracle for the packed-batch layout: identical
         // pack / rotate / extend / unpack pipelines on both backends,

@@ -5,7 +5,7 @@
 //!
 //! * [`ring`] — RNS polynomial arithmetic in the prime cyclotomic ring
 //!   `Z_Q[X]/Φ_m(X)` (odd prime `m`), including BGV modulus switching
-//!   and digit decomposition;
+//!   and the special prime of hybrid key switching;
 //! * [`scheme`] — RLWE keys, encryption, homomorphic add/multiply with
 //!   relinearisation, Galois-automorphism slot rotation, and an
 //!   automatic modulus-switching noise policy;

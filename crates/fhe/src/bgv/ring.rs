@@ -18,6 +18,13 @@
 //! A chain prime whose multiplicative group is too small for the
 //! transform falls back to a schoolbook `O(φ(m)^2)` cyclic-wrap-and-fold
 //! convolution, which doubles as the test oracle for the NTT path.
+//!
+//! A context built with [`RnsContext::with_special_prime`] also holds
+//! the key-switching **special prime** `P`. It sits after the chain, at
+//! row index [`RnsContext::primes`]`.len()`: ciphertexts never carry
+//! it, but key material lives over `Q·P` (one more row than the full
+//! chain), and [`RnsContext::mod_down_special`] divides a key-switch
+//! product back down to `Q`.
 
 use crate::math::modq::{add_mod, gcd, inv_mod, mul_mod, ntt_chain_primes, sub_mod};
 use crate::math::ntt::NttPlan;
@@ -25,13 +32,17 @@ use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shared ring description: the cyclotomic index, the full modulus
-/// chain, and one cached NTT plan per NTT-friendly chain prime.
+/// chain (plus the optional special prime), and one cached NTT plan per
+/// NTT-friendly prime.
 #[derive(Debug)]
 pub struct RnsContext {
     m: usize,
+    /// The chain primes, then the special prime if there is one.
     primes: Vec<u64>,
-    /// One plan per chain prime, sized `next_pow2(2m - 1)`; `None`
-    /// where the prime's 2-adicity is too small (schoolbook fallback).
+    /// Number of chain primes (`primes.len()` less the special prime).
+    chain_len: usize,
+    /// One plan per prime, sized `next_pow2(2m - 1)`; `None` where the
+    /// prime's 2-adicity is too small (schoolbook fallback).
     plans: Vec<Option<NttPlan>>,
     use_ntt: bool,
     /// Parallel degree for per-prime row loops (1 = sequential). An
@@ -46,6 +57,7 @@ impl Clone for RnsContext {
         Self {
             m: self.m,
             primes: self.primes.clone(),
+            chain_len: self.chain_len,
             plans: self.plans.clone(),
             use_ntt: self.use_ntt,
             threads: AtomicUsize::new(self.threads.load(Ordering::Relaxed)),
@@ -98,11 +110,34 @@ impl RnsContext {
     /// Panics if `m` is even, fewer than one prime is supplied, or any
     /// prime is even.
     pub fn new(m: usize, primes: Vec<u64>) -> Self {
+        let chain_len = primes.len();
+        Self::build(m, primes, chain_len)
+    }
+
+    /// [`RnsContext::new`] plus the key-switching special prime
+    /// `special`, which must be odd and outside the chain. It is not a
+    /// chain prime: [`RnsContext::primes`] and every ciphertext level
+    /// exclude it; only key material (at [`RnsContext::key_level`]
+    /// rows) and key-switch products carry its row.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`RnsContext::new`] does, or if `special` is a chain
+    /// prime.
+    pub fn with_special_prime(m: usize, chain: Vec<u64>, special: u64) -> Self {
+        assert!(!chain.contains(&special), "special prime is in the chain");
+        let chain_len = chain.len();
+        let mut primes = chain;
+        primes.push(special);
+        Self::build(m, primes, chain_len)
+    }
+
+    fn build(m: usize, primes: Vec<u64>, chain_len: usize) -> Self {
         assert!(
             m >= 3 && m % 2 == 1,
             "prime-cyclotomic index m = {m} must be an odd prime"
         );
-        assert!(!primes.is_empty(), "modulus chain must be nonempty");
+        assert!(chain_len > 0, "modulus chain must be nonempty");
         assert!(
             primes.iter().all(|&q| q % 2 == 1),
             "chain primes must be odd"
@@ -112,6 +147,7 @@ impl RnsContext {
         Self {
             m,
             primes,
+            chain_len,
             plans,
             use_ntt: true,
             threads: AtomicUsize::new(1),
@@ -141,7 +177,7 @@ impl RnsContext {
     /// not already inside a pool task (inner μs-scale loops gain
     /// nothing from forking under an already-parallel outer stage).
     /// Row order is preserved, so parallel == sequential bitwise.
-    fn par_rows<R: Send>(&self, rows: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    pub(crate) fn par_rows<R: Send>(&self, rows: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         let threads = self.threads();
         if threads > 1 && rows > 1 && !copse_pool::in_worker() {
             copse_pool::global().scope_indices(rows, threads, f)
@@ -171,7 +207,10 @@ impl RnsContext {
 
     /// Number of chain primes holding a cached NTT plan.
     pub fn ntt_ready_primes(&self) -> usize {
-        self.plans.iter().filter(|p| p.is_some()).count()
+        self.plans[..self.chain_len]
+            .iter()
+            .filter(|p| p.is_some())
+            .count()
     }
 
     /// Builds the same ring twice over one freshly generated
@@ -198,9 +237,35 @@ impl RnsContext {
         self.m - 1
     }
 
-    /// The full modulus chain.
+    /// The full modulus chain (without the special prime).
     pub fn primes(&self) -> &[u64] {
-        &self.primes
+        &self.primes[..self.chain_len]
+    }
+
+    /// The key-switching special prime, if the context has one.
+    pub fn special_prime(&self) -> Option<u64> {
+        (self.primes.len() > self.chain_len).then(|| self.primes[self.chain_len])
+    }
+
+    /// Rows of key-switching material: the full chain plus the special
+    /// prime's row (just the chain when there is no special prime).
+    /// Level-taking constructors such as [`RnsContext::from_signed`]
+    /// and [`RnsContext::sample_uniform`] accept it as a level.
+    pub fn key_level(&self) -> usize {
+        self.primes.len()
+    }
+
+    /// The prime indices a key switch at `level` works over: the
+    /// level's chain prefix, then the special prime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context has no special prime or `level` exceeds
+    /// the chain.
+    pub fn key_switch_rows(&self, level: usize) -> Vec<usize> {
+        assert!(self.special_prime().is_some(), "no special prime");
+        assert!(level <= self.chain_len, "level beyond the chain");
+        (0..level).chain([self.chain_len]).collect()
     }
 
     /// Number of active primes of an element.
@@ -218,18 +283,39 @@ impl RnsContext {
     /// Lifts a small signed polynomial (degree < φ) to all `level`
     /// primes.
     pub fn from_signed(&self, coeffs: &[i64], level: usize) -> RnsPoly {
+        assert!(level <= self.primes.len(), "level beyond the key basis");
+        RnsPoly {
+            residues: (0..level).map(|j| self.signed_row(coeffs, j)).collect(),
+        }
+    }
+
+    /// Lifts a signed polynomial (degree < φ) to one residue row modulo
+    /// prime `j`. Every coefficient is reduced modulo that prime, so
+    /// values wider than it — a key-switch digit of a larger chain
+    /// prime lifted to the special prime — come out canonical, as the
+    /// transforms require.
+    ///
+    /// # Panics
+    ///
+    /// Panics on degree overflow.
+    pub fn signed_row(&self, coeffs: &[i64], j: usize) -> Vec<u64> {
         assert!(coeffs.len() <= self.phi(), "degree too large for the ring");
-        let residues = self.primes[..level]
+        let q = self.primes[j] as i64;
+        let mut row = vec![0u64; self.phi()];
+        for (r, &c) in row.iter_mut().zip(coeffs) {
+            *r = c.rem_euclid(q) as u64;
+        }
+        row
+    }
+
+    /// Row `j` of `a` as centered residues in `(-q_j/2, q_j/2]`: the
+    /// `j`-th digit of a hybrid key switch.
+    pub fn centered_row(&self, a: &RnsPoly, j: usize) -> Vec<i64> {
+        let q = self.primes[j];
+        a.residues[j]
             .iter()
-            .map(|&q| {
-                let mut row = vec![0u64; self.phi()];
-                for (i, &c) in coeffs.iter().enumerate() {
-                    row[i] = c.rem_euclid(q as i64) as u64;
-                }
-                row
-            })
-            .collect();
-        RnsPoly { residues }
+            .map(|&c| crate::math::modq::center(c, q))
+            .collect()
     }
 
     /// Uniformly random element at `level` primes.
@@ -338,27 +424,24 @@ impl RnsContext {
             a.residues.len() >= level && b.residues.len() >= level,
             "operand below the requested level"
         );
-        let residues = self.par_rows(level, |j| {
-            let q = self.primes[j];
-            match &self.plans[j] {
-                Some(plan) if self.use_ntt => {
-                    self.mul_row_ntt(plan, &a.residues[j], &b.residues[j], q)
-                }
-                _ => self.mul_row_schoolbook(&a.residues[j], &b.residues[j], q),
-            }
-        });
+        let residues = self.par_rows(level, |j| self.mul_row(&a.residues[j], &b.residues[j], j));
         RnsPoly { residues }
     }
 
+    /// Ring product of two residue rows modulo prime `j`.
+    ///
     /// NTT path: zero-pad both rows to the plan size, take the linear
     /// product via forward/pointwise/inverse transforms (coefficients
     /// come back fully reduced mod `q`), then wrap mod `X^m - 1` and
     /// fold. The product degree `2φ - 2 = 2m - 4` fits the
     /// `next_pow2(2m - 1)` transform, so no cyclic aliasing occurs
-    /// inside the NTT itself.
-    fn mul_row_ntt(&self, plan: &NttPlan, a: &[u64], b: &[u64], q: u64) -> Vec<u64> {
-        let full = plan.cyclic_mul(a, b);
-        self.wrap_fold(&full, q)
+    /// inside the NTT itself. Schoolbook otherwise.
+    pub(crate) fn mul_row(&self, a: &[u64], b: &[u64], j: usize) -> Vec<u64> {
+        let q = self.primes[j];
+        match &self.plans[j] {
+            Some(plan) if self.use_ntt => self.wrap_fold(&plan.cyclic_mul(a, b), q),
+            _ => self.mul_row_schoolbook(a, b, q),
+        }
     }
 
     /// Reduces an `n`-coefficient linear-convolution row into the ring:
@@ -413,45 +496,30 @@ impl RnsContext {
     /// Panics unless [`RnsContext::eval_ready`] holds at the element's
     /// level.
     pub fn to_eval(&self, a: &RnsPoly) -> EvalPoly {
-        let rows = self.par_rows(a.residues.len(), |j| {
-            let row = &a.residues[j];
-            let plan = self.plans[j]
-                .as_ref()
-                .expect("chain prime lacks an NTT plan");
-            let mut padded = vec![0u64; plan.size()];
-            padded[..row.len()].copy_from_slice(row);
-            plan.forward(&mut padded);
-            padded
-        });
+        let rows = self.par_rows(a.residues.len(), |j| self.forward_row(&a.residues[j], j));
         EvalPoly { rows }
     }
 
-    /// Forward-transforms a *small non-negative* polynomial (e.g.
-    /// key-switching digits `< B`) to `level` evaluation rows — one
-    /// transform per prime. Coefficients are reduced modulo each prime
-    /// on the way in: wide digit configurations (`B >=` a chain prime,
-    /// as in a one-digit-per-prime decomposition) produce digits that
-    /// exceed the *smaller* active primes, and the transform requires
-    /// canonical inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degree overflow.
-    pub fn small_to_eval(&self, coeffs: &[u64], level: usize) -> EvalPoly {
-        assert!(coeffs.len() <= self.phi(), "degree too large for the ring");
-        let rows = self.par_rows(level, |j| {
-            let q = self.primes[j];
-            let plan = self.plans[j]
-                .as_ref()
-                .expect("chain prime lacks an NTT plan");
-            let mut padded = vec![0u64; plan.size()];
-            for (p, &c) in padded.iter_mut().zip(coeffs) {
-                *p = c % q;
-            }
-            plan.forward(&mut padded);
-            padded
-        });
-        EvalPoly { rows }
+    fn plan(&self, j: usize) -> &NttPlan {
+        self.plans[j].as_ref().expect("prime lacks an NTT plan")
+    }
+
+    /// Zero-pads a canonical residue row modulo prime `j` and
+    /// forward-transforms it: one evaluation row.
+    pub(crate) fn forward_row(&self, row: &[u64], j: usize) -> Vec<u64> {
+        let plan = self.plan(j);
+        let mut padded = vec![0u64; plan.size()];
+        padded[..row.len()].copy_from_slice(row);
+        plan.forward(&mut padded);
+        padded
+    }
+
+    /// Inverse-transforms one evaluation row modulo prime `j`, then
+    /// wraps and folds it back into a coefficient row.
+    pub(crate) fn inverse_row(&self, row: &[u64], j: usize) -> Vec<u64> {
+        let mut full = row.to_vec();
+        self.plan(j).inverse(&mut full);
+        self.wrap_fold(&full, self.primes[j])
     }
 
     /// Inverse-transforms an evaluation-domain element back to
@@ -461,15 +529,7 @@ impl RnsContext {
     /// products and sums directly (the transform is linear and exact
     /// over `Z_q`).
     pub fn from_eval(&self, e: &EvalPoly) -> RnsPoly {
-        let residues = self.par_rows(e.rows.len(), |j| {
-            let q = self.primes[j];
-            let plan = self.plans[j]
-                .as_ref()
-                .expect("chain prime lacks an NTT plan");
-            let mut full = e.rows[j].clone();
-            plan.inverse(&mut full);
-            self.wrap_fold(&full, q)
-        });
+        let residues = self.par_rows(e.rows.len(), |j| self.inverse_row(&e.rows[j], j));
         RnsPoly { residues }
     }
 
@@ -495,12 +555,8 @@ impl RnsContext {
             a.rows.len() >= level && b.rows.len() >= level,
             "operand below the accumulator level"
         );
-        let acc_row = |j: usize, out: &mut Vec<u64>| {
-            let q = self.primes[j];
-            for ((o, &x), &y) in out.iter_mut().zip(&a.rows[j]).zip(&b.rows[j]) {
-                *o = add_mod(*o, mul_mod(x, y, q), q);
-            }
-        };
+        let acc_row =
+            |j: usize, out: &mut Vec<u64>| self.mul_acc_row(out, &a.rows[j], &b.rows[j], j);
         let threads = self.threads();
         if threads > 1 && level > 1 && !copse_pool::in_worker() {
             let _: Vec<()> =
@@ -516,22 +572,37 @@ impl RnsContext {
         }
     }
 
-    /// Pointwise sum `acc += other`, row by row (used to fold the
-    /// per-chunk partial accumulators of a parallel key switch back
-    /// together; modular addition is exactly associative and
-    /// commutative, so any fold order is bitwise identical).
+    /// One row of [`RnsContext::eval_mul_acc`]: `out += x ∘ y`
+    /// pointwise modulo prime `j`.
+    pub(crate) fn mul_acc_row(&self, out: &mut [u64], x: &[u64], y: &[u64], j: usize) {
+        let q = self.primes[j];
+        for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+            *o = add_mod(*o, mul_mod(x, y, q), q);
+        }
+    }
+
+    /// Pointwise sum `acc += other`, row by row. Modular addition is
+    /// exactly associative and commutative, so partial accumulators
+    /// fold together bitwise identically in any order.
     ///
     /// # Panics
     ///
     /// Panics if `other` has fewer rows than `acc`.
     pub fn eval_add_assign(&self, acc: &mut EvalPoly, other: &EvalPoly) {
-        let level = acc.rows.len();
-        assert!(other.rows.len() >= level, "operand below the accumulator");
+        assert!(
+            other.rows.len() >= acc.rows.len(),
+            "operand below the accumulator"
+        );
         for (j, out) in acc.rows.iter_mut().enumerate() {
-            let q = self.primes[j];
-            for (o, &x) in out.iter_mut().zip(&other.rows[j]) {
-                *o = add_mod(*o, x, q);
-            }
+            self.add_row_assign(out, &other.rows[j], j);
+        }
+    }
+
+    /// `out += x` modulo prime `j`, coefficient by coefficient.
+    pub(crate) fn add_row_assign(&self, out: &mut [u64], x: &[u64], j: usize) {
+        let q = self.primes[j];
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = add_mod(*o, x, q);
         }
     }
 
@@ -558,30 +629,8 @@ impl RnsContext {
         }
     }
 
-    /// Lifts a small *non-negative* polynomial to `level` residue rows
-    /// without the signed `rem_euclid` lift of
-    /// [`RnsContext::from_signed`] (used by the coefficient-domain
-    /// key-switch digit loop). Coefficients are reduced modulo each
-    /// prime: wide key-switch digits can exceed the smaller chain
-    /// primes (see [`RnsContext::small_to_eval`]), and the rows must
-    /// stay canonical.
-    pub fn from_small_unsigned(&self, coeffs: &[u64], level: usize) -> RnsPoly {
-        assert!(coeffs.len() <= self.phi(), "degree too large for the ring");
-        let residues = self.primes[..level]
-            .iter()
-            .map(|&q| {
-                let mut row = vec![0u64; self.phi()];
-                for (r, &c) in row.iter_mut().zip(coeffs) {
-                    *r = c % q;
-                }
-                row
-            })
-            .collect();
-        RnsPoly { residues }
-    }
-
     /// Scales each prime's residue row by its own scalar (used for the
-    /// RNS key-switching gadget factors `q*_j · B^t`).
+    /// RNS key-switching gadget factors `P · q*_j`).
     ///
     /// # Panics
     ///
@@ -668,44 +717,66 @@ impl RnsContext {
     pub fn mod_switch_down(&self, a: &RnsPoly, plain_modulus: u64) -> RnsPoly {
         let level = a.residues.len();
         assert!(level >= 2, "cannot switch below one prime");
-        let q_last = self.primes[level - 1];
-        let last = &a.residues[level - 1];
-        // Per-coefficient correction delta: delta = c (mod q_last),
-        // delta = 0 (mod t), |delta| <= q_last.
+        let (keep, last) = a.residues.split_at(level - 1);
+        self.scale_down(keep, &last[0], self.primes[level - 1], plain_modulus)
+    }
+
+    /// The last step of a hybrid key switch: divides an element over
+    /// `Q_l · P` — `l + 1` rows, the chain prefix then the special
+    /// prime's row, as [`RnsContext::key_switch_rows`] orders them —
+    /// by `P`, with the same value-mod-`plain_modulus`-preserving
+    /// correction as [`RnsContext::mod_switch_down`]. Returns the
+    /// `l`-row element.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a special prime or with fewer than two rows.
+    pub fn mod_down_special(&self, rows: &[Vec<u64>], plain_modulus: u64) -> RnsPoly {
+        let special = self.special_prime().expect("no special prime");
+        assert!(rows.len() >= 2, "nothing left after dividing out P");
+        let (keep, last) = rows.split_at(rows.len() - 1);
+        self.scale_down(keep, &last[0], special, plain_modulus)
+    }
+
+    /// Computes `(x - delta) / q_last` on the chain rows `keep`, where
+    /// `last` is `x`'s residue row modulo `q_last` (not itself a row
+    /// of `keep`). The per-coefficient correction satisfies
+    /// `delta ≡ x (mod q_last)`, `delta ≡ 0 (mod plain_modulus)` and
+    /// `|delta| <= q_last`, so the division is exact and preserves the
+    /// value modulo the plaintext modulus.
+    fn scale_down(
+        &self,
+        keep: &[Vec<u64>],
+        last: &[u64],
+        q_last: u64,
+        plain_modulus: u64,
+    ) -> RnsPoly {
+        let step = q_last as i64;
+        let t = plain_modulus as i64;
         let deltas: Vec<i64> = last
             .iter()
             .map(|&c| {
                 let mut d = crate::math::modq::center(c, q_last);
-                if d.rem_euclid(plain_modulus as i64) != 0 {
-                    // q_last is odd so adding/subtracting it fixes the
-                    // residue class mod 2 (and generally shifts mod t).
-                    d += if d > 0 {
-                        -(q_last as i64)
-                    } else {
-                        q_last as i64
-                    };
-                    // For t > 2 one correction step may not cancel the
-                    // residue; loop until it does (t is tiny).
-                    let mut guard = 0;
-                    while d.rem_euclid(plain_modulus as i64) != 0 {
-                        d += if d > 0 {
-                            -(q_last as i64)
-                        } else {
-                            q_last as i64
-                        };
-                        guard += 1;
-                        assert!(guard <= plain_modulus, "correction loop diverged");
-                    }
+                // q_last is odd so adding/subtracting it fixes the
+                // residue class mod 2 (and generally shifts mod t); for
+                // t > 2 one step may not cancel the residue, so loop
+                // until it does (t is tiny).
+                let mut guard = 0;
+                while d.rem_euclid(t) != 0 {
+                    d += if d > 0 { -step } else { step };
+                    guard += 1;
+                    assert!(guard <= plain_modulus, "correction loop diverged");
                 }
                 d
             })
             .collect();
-        let residues = (0..level - 1)
-            .map(|j| {
+        let residues = keep
+            .iter()
+            .enumerate()
+            .map(|(j, row)| {
                 let q = self.primes[j];
                 let inv = inv_mod(q_last % q, q).expect("chain primes are coprime");
-                a.residues[j]
-                    .iter()
+                row.iter()
                     .zip(&deltas)
                     .map(|(&c, &d)| {
                         let d_mod = d.rem_euclid(q as i64) as u64;
@@ -728,23 +799,6 @@ impl RnsContext {
         a.residues[0]
             .iter()
             .map(|&c| crate::math::modq::center(c, q))
-            .collect()
-    }
-
-    /// Base-`2^digit_bits` decomposition digits of `a`'s residues
-    /// modulo chain prime `j`, returned as small unsigned polynomials
-    /// (one per digit position).
-    pub fn decompose_digits(&self, a: &RnsPoly, j: usize, digit_bits: u32) -> Vec<Vec<u64>> {
-        let row = &a.residues[j];
-        let q = self.primes[j];
-        let n_digits = (64 - q.leading_zeros()).div_ceil(digit_bits) as usize;
-        let mask = (1u64 << digit_bits) - 1;
-        (0..n_digits)
-            .map(|t| {
-                row.iter()
-                    .map(|&c| (c >> (t as u32 * digit_bits)) & mask)
-                    .collect()
-            })
             .collect()
     }
 
@@ -881,25 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn digit_decomposition_recomposes() {
-        let ctx = ctx();
-        let mut rng = SmallRng::seed_from_u64(6);
-        let a = ctx.sample_uniform(2, &mut rng);
-        for j in 0..2 {
-            let digits = ctx.decompose_digits(&a, j, 7);
-            let q = ctx.primes()[j];
-            for (i, &c) in a.residues[j].iter().enumerate() {
-                let recomposed: u64 = digits
-                    .iter()
-                    .enumerate()
-                    .map(|(t, d)| d[i] << (7 * t as u32))
-                    .sum();
-                assert_eq!(recomposed % q, c);
-            }
-        }
-    }
-
-    #[test]
     fn error_samples_are_small() {
         let ctx = ctx();
         let mut rng = SmallRng::seed_from_u64(7);
@@ -1018,34 +1053,101 @@ mod tests {
         }
     }
 
+    /// A context with a special prime below every chain prime, as
+    /// keygen builds it: the last of `chain + 1` NTT-friendly primes.
+    fn special_ctx(m: usize, chain: usize) -> RnsContext {
+        let mut primes = ntt_chain_primes(25, chain + 1, RnsContext::ntt_size(m).trailing_zeros());
+        let special = primes.pop().unwrap();
+        RnsContext::with_special_prime(m, primes, special)
+    }
+
     #[test]
-    fn from_small_unsigned_matches_from_signed() {
-        let ctx = ctx();
-        let coeffs_u: Vec<u64> = (0..20u64).map(|i| i * 13 % 128).collect();
-        let coeffs_i: Vec<i64> = coeffs_u.iter().map(|&c| c as i64).collect();
+    fn special_prime_sits_after_the_chain() {
+        let ctx = special_ctx(17, 3);
+        let p = ctx.special_prime().unwrap();
+        assert_eq!(ctx.primes().len(), 3, "P is not a chain prime");
+        assert!(ctx.primes().iter().all(|&q| q > p), "P is the smallest");
+        assert_eq!(ctx.key_level(), 4);
+        assert_eq!(ctx.ntt_ready_primes(), 3);
+        assert!(ctx.eval_ready(ctx.key_level()), "P has a plan too");
+        assert_eq!(ctx.key_switch_rows(2), vec![0, 1, 3]);
+        assert_eq!(ctx.from_signed(&[-1], 4).residues[3][0], p - 1);
         assert_eq!(
-            ctx.from_small_unsigned(&coeffs_u, 3),
-            ctx.from_signed(&coeffs_i, 3)
+            RnsContext::new(17, ctx.primes().to_vec()).special_prime(),
+            None
         );
     }
 
     #[test]
     fn wide_digits_exceeding_a_smaller_prime_are_reduced() {
-        // One-digit-per-prime key-switch decompositions (B >= q) emit
-        // digits as large as the biggest chain prime, which exceed the
-        // smaller active primes; both lifts must reduce per prime.
-        // Regression: the unreduced fast path fed non-canonical values
-        // into the Shoup NTT, silently corrupting key switches.
-        let (ntt, _) = RnsContext::ntt_schoolbook_pair(17, 25, 3);
-        let primes = ntt.primes().to_vec();
-        let q_min = *primes.iter().min().unwrap();
-        let q_max = *primes.iter().max().unwrap();
-        assert!(q_min < q_max, "chain primes are distinct");
-        let coeffs_u = vec![q_max - 1, q_min, 3];
-        let coeffs_i: Vec<i64> = coeffs_u.iter().map(|&c| c as i64).collect();
-        let want = ntt.from_signed(&coeffs_i, 3);
-        assert_eq!(ntt.from_small_unsigned(&coeffs_u, 3), want);
-        assert_eq!(ntt.from_eval(&ntt.small_to_eval(&coeffs_u, 3)), want);
+        // A centered digit of the largest chain prime can exceed P/2
+        // because P is the smallest prime; lifted to P's row it must
+        // come out reduced mod P, or the transform (which needs
+        // canonical input) silently corrupts the key switch.
+        let ctx = special_ctx(17, 3);
+        let (q0, p) = (ctx.primes()[0], ctx.special_prime().unwrap());
+        let top = (q0 / 2) as i64;
+        let digit = vec![
+            top,
+            -top,
+            top - 1,
+            (p / 2) as i64 + 1,
+            -((p / 2) as i64) - 1,
+            5,
+        ];
+        assert!(digit.iter().any(|&d| d.unsigned_abs() > p / 2));
+        for j in 0..ctx.key_level() {
+            let q = ctx.primes[j];
+            let row = ctx.signed_row(&digit, j);
+            for (&r, &d) in row.iter().zip(&digit) {
+                assert!(r < q, "canonical mod prime {j}");
+                assert_eq!(i128::from(r), i128::from(d).rem_euclid(i128::from(q)));
+            }
+            assert_eq!(
+                ctx.inverse_row(&ctx.forward_row(&row, j), j),
+                row,
+                "prime {j}"
+            );
+        }
+        // The eval-domain product of a lifted digit matches schoolbook.
+        let mut school = ctx.clone();
+        school.set_ntt_enabled(false);
+        let other = ctx.signed_row(&[3, -7, 11], 3);
+        let lifted = ctx.signed_row(&digit, 3);
+        assert_eq!(
+            ctx.mul_row(&lifted, &other, 3),
+            school.mul_row(&lifted, &other, 3)
+        );
+    }
+
+    #[test]
+    fn centered_row_is_the_signed_residue() {
+        let ctx = special_ctx(17, 2);
+        let q = ctx.primes()[1];
+        let a = ctx.from_signed(&[-3, 4, (q / 2) as i64, -((q / 2) as i64)], 2);
+        assert_eq!(
+            ctx.centered_row(&a, 1)[..4],
+            [-3, 4, (q / 2) as i64, -((q / 2) as i64)]
+        );
+    }
+
+    #[test]
+    fn mod_down_special_divides_out_p_exactly() {
+        // x = P*y + e with e even and small: dividing by P with the even
+        // correction returns y exactly, at every level.
+        let ctx = special_ctx(17, 3);
+        let p = ctx.special_prime().unwrap() as i64;
+        let y = vec![5i64, -2, 0, 9, -11];
+        let e = vec![2i64, -4, 6, 0, -8];
+        let x: Vec<i64> = y.iter().zip(&e).map(|(&y, &e)| p * y + e).collect();
+        for level in 1..=3 {
+            let rows: Vec<Vec<u64>> = ctx
+                .key_switch_rows(level)
+                .into_iter()
+                .map(|j| ctx.signed_row(&x, j))
+                .collect();
+            assert_eq!(ctx.mod_down_special(&rows, 2), ctx.from_signed(&y, level));
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! This is the cryptographic core of the substrate HElib provides to
 //! the paper: RLWE encryption over `R_Q = Z_Q[X]/Φ_m(X)` with an RNS
-//! modulus chain, relinearisation and Galois key switching via
-//! per-prime digit decomposition, and BGV modulus switching for noise
-//! control.
+//! modulus chain, relinearisation and Galois key switching in the
+//! hybrid form (one RNS digit per chain prime, plus a special prime
+//! that key material carries and each switch divides back out), and
+//! BGV modulus switching for noise control.
 //!
 //! The cyclotomic index [`BgvParams::m`] is an odd prime, the paper's
 //! configuration. Plaintexts live in `R_2` and pack bits into SIMD
@@ -20,7 +21,7 @@
 use crate::bgv::ring::{EvalPoly, RnsContext, RnsPoly};
 use crate::math::cyclotomic::SlotStructure;
 use crate::math::gf2poly::Gf2Poly;
-use crate::math::modq::{inv_mod, mul_mod, ntt_chain_primes, pow_mod};
+use crate::math::modq::{inv_mod, mul_mod, ntt_chain_primes};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
@@ -35,9 +36,9 @@ pub struct BgvParams {
     /// Bits per chain prime.
     pub prime_bits: u32,
     /// Number of primes in the modulus chain (the level budget).
+    /// Keygen draws one more prime of the same width, the
+    /// key-switching special prime, which is not part of the chain.
     pub chain_len: usize,
-    /// Key-switching digit width in bits.
-    pub ks_digit_bits: u32,
     /// Centered-binomial error parameter.
     pub error_eta: u32,
     /// Key-generation seed (the scheme is deterministic given it).
@@ -52,7 +53,6 @@ impl BgvParams {
             m: 31,
             prime_bits: 25,
             chain_len: 10,
-            ks_digit_bits: 7,
             error_eta: 2,
             keygen_seed: 0xB64,
         }
@@ -66,7 +66,6 @@ impl BgvParams {
             m: 127,
             prime_bits: 25,
             chain_len: 16,
-            ks_digit_bits: 7,
             error_eta: 2,
             keygen_seed: 0xC0F5E,
         }
@@ -89,20 +88,22 @@ pub struct Ciphertext {
     pub(crate) noise_bits: f64,
 }
 
-/// A key-switching key: for each chain prime `j` and digit `t`, an
-/// encryption of `q*_j · B^t · s'` under `s`.
+/// A hybrid key-switching key: for each chain prime `j`, an encryption
+/// over `Q·P` (the full chain times the special prime `P`) of
+/// `P · q*_j · s'` under `s`, where `q*_j` is 1 modulo `q_j` and 0
+/// modulo every other chain prime.
 ///
-/// When the modulus chain is NTT-friendly the fixed key parts are also
-/// stored **pre-transformed in the evaluation domain** (built once at
-/// keygen), so every key switch multiply-accumulates against them
-/// pointwise instead of re-transforming them per call.
+/// When the ring is NTT-friendly the fixed key parts are also stored
+/// **pre-transformed in the evaluation domain** (built once at keygen),
+/// so every key switch multiply-accumulates against them pointwise
+/// instead of re-transforming them per call.
 #[derive(Clone, Debug)]
 pub struct KsKey {
-    parts: Vec<Vec<(RnsPoly, RnsPoly)>>, // [prime j][digit t] -> (b, a)
-    /// Evaluation-domain mirror of `parts` at the full chain level;
-    /// `None` when the ring cannot host the eval path (unfriendly
-    /// chain or NTT disabled at keygen).
-    parts_eval: Option<Vec<Vec<(EvalPoly, EvalPoly)>>>,
+    /// `(b, a)` per chain prime, each at [`RnsContext::key_level`] rows.
+    parts: Vec<(RnsPoly, RnsPoly)>,
+    /// Evaluation-domain mirror of `parts`; `None` when the ring cannot
+    /// host the eval path (unfriendly primes or NTT disabled at keygen).
+    parts_eval: Option<Vec<(EvalPoly, EvalPoly)>>,
 }
 
 /// A plaintext operand prepared for (repeated) multiplication: the
@@ -202,25 +203,31 @@ impl BgvScheme {
     pub fn keygen_with_threads(params: BgvParams, use_ntt: bool, threads: usize) -> Self {
         let m = params.m as usize;
         let two_adic_order = RnsContext::ntt_size(m).trailing_zeros();
-        let mut ring = RnsContext::new(
-            m,
-            ntt_chain_primes(params.prime_bits, params.chain_len, two_adic_order),
-        );
+        // One draw for the chain and the special prime: the primes come
+        // out descending, so the chain is the same as without a special
+        // prime and P, the last, is the smallest.
+        let mut primes = ntt_chain_primes(params.prime_bits, params.chain_len + 1, two_adic_order);
+        let special = primes.pop().expect("chain_len + 1 primes drawn");
+        let mut ring = RnsContext::with_special_prime(m, primes, special);
         ring.set_ntt_enabled(use_ntt);
         let slots = SlotStructure::new(params.m);
         let mut rng = SmallRng::seed_from_u64(params.keygen_seed);
         let level = params.chain_len;
 
+        // The secret is held over Q·P, the basis key material lives in.
         let s_coeffs = ring.sample_ternary(&mut rng);
-        let secret = ring.from_signed(&s_coeffs, level);
+        let secret = ring.from_signed(&s_coeffs, ring.key_level());
 
         let a = ring.sample_uniform(level, &mut rng);
         let e = ring.from_signed(&ring.sample_error(params.error_eta, &mut rng), level);
-        let b = ring.add(&ring.neg(&ring.mul(&a, &secret)), &ring.mul_scalar(&e, 2));
+        let b = ring.add(
+            &ring.neg(&ring.mul_prefix(&a, &secret, level)),
+            &ring.mul_scalar(&e, 2),
+        );
         let public = (b, a);
 
         let mut scheme = Self {
-            ks_noise_bits: Self::ks_noise_estimate(&params),
+            ks_noise_bits: Self::ks_noise_estimate(&params, &ring),
             params,
             ring,
             slots,
@@ -264,17 +271,21 @@ impl BgvScheme {
         scheme
     }
 
-    /// Estimated key-switch additive noise:
-    /// `#primes * #digits * B * 2η * φ`.
-    fn ks_noise_estimate(params: &BgvParams) -> f64 {
-        let digits = params.prime_bits.div_ceil(params.ks_digit_bits) as f64;
-        let terms = params.chain_len as f64 * digits;
-        (terms
-            * f64::from(1u32 << params.ks_digit_bits)
-            * 2.0
-            * f64::from(params.error_eta)
-            * params.phi() as f64)
-            .log2()
+    /// Worst-case key-switch additive noise (log2). Before the mod
+    /// down, the key noise is `2 · Σ_j d_j · e_j` over at most
+    /// `chain_len` digits with `|d_j| <= q_max / 2` and `|e_j| <= η`;
+    /// a ring product of prime index `m` grows by at most `2φ` (the
+    /// cyclic convolution, then the fold of the top coefficient). The
+    /// division by `P` shrinks that to `2η · chain_len · φ · q_max / P`
+    /// and adds the rounding `(δ0 + δ1·s) / P` with `|δ| < P`, at most
+    /// `2φ + 1`.
+    fn ks_noise_estimate(params: &BgvParams, ring: &RnsContext) -> f64 {
+        let q_max = ring.primes().iter().copied().max().expect("nonempty chain") as f64;
+        let special = ring.special_prime().expect("keygen draws a special prime") as f64;
+        let phi = params.phi() as f64;
+        let key_noise =
+            2.0 * f64::from(params.error_eta) * params.chain_len as f64 * phi * q_max / special;
+        (key_noise + 2.0 * phi + 1.0).log2()
     }
 
     /// One key-switching key from its own rng split (see
@@ -283,57 +294,51 @@ impl BgvScheme {
         self.ks_keygen(target, &mut SmallRng::seed_from_u64(seed))
     }
 
+    /// `target` is `s'` over `Q·P` ([`RnsContext::key_level`] rows).
     fn ks_keygen(&self, target: &RnsPoly, rng: &mut SmallRng) -> KsKey {
-        let level = self.params.chain_len;
-        let primes = self.ring.primes().to_vec();
-        let n_digits = self.params.prime_bits.div_ceil(self.params.ks_digit_bits) as usize;
-        let parts: Vec<Vec<(RnsPoly, RnsPoly)>> = (0..level)
+        let key_level = self.ring.key_level();
+        let chain = self.ring.primes();
+        let special = self
+            .ring
+            .special_prime()
+            .expect("keygen draws a special prime");
+        let parts: Vec<(RnsPoly, RnsPoly)> = (0..chain.len())
             .map(|j| {
-                (0..n_digits)
-                    .map(|t| {
-                        // Gadget scalar q*_j * B^t per prime i.
-                        let scalars: Vec<u64> = primes
-                            .iter()
-                            .map(|&qi| {
-                                let qstar = Self::qstar_mod(&primes, j, qi);
-                                let bt =
-                                    pow_mod(2, u64::from(self.params.ks_digit_bits) * t as u64, qi);
-                                mul_mod(qstar, bt, qi)
-                            })
-                            .collect();
-                        let a = self.ring.sample_uniform(level, rng);
-                        let e = self.ring.from_signed(
-                            &self.ring.sample_error(self.params.error_eta, rng),
-                            level,
-                        );
-                        let b = self.ring.add(
-                            &self.ring.add(
-                                &self.ring.neg(&self.ring.mul(&a, &self.secret)),
-                                &self.ring.mul_scalar(&e, 2),
-                            ),
-                            &self.ring.mul_scalar_rns(target, &scalars),
-                        );
-                        (b, a)
-                    })
-                    .collect()
+                // Gadget scalar P * q*_j per prime, the special prime
+                // included (where it is zero).
+                let scalars: Vec<u64> = chain
+                    .iter()
+                    .chain([&special])
+                    .map(|&qi| mul_mod(special % qi, Self::qstar_mod(chain, j, qi), qi))
+                    .collect();
+                let a = self.ring.sample_uniform(key_level, rng);
+                let e = self.ring.from_signed(
+                    &self.ring.sample_error(self.params.error_eta, rng),
+                    key_level,
+                );
+                let b = self.ring.add(
+                    &self.ring.add(
+                        &self.ring.neg(&self.ring.mul(&a, &self.secret)),
+                        &self.ring.mul_scalar(&e, 2),
+                    ),
+                    &self.ring.mul_scalar_rns(target, &scalars),
+                );
+                (b, a)
             })
             .collect();
         // Fixed key material is forward-transformed once, here at
         // keygen, so key switches never pay for it again.
-        let parts_eval = self.ring.eval_ready(level).then(|| {
+        let parts_eval = self.ring.eval_ready(key_level).then(|| {
             parts
                 .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|(b, a)| (self.ring.to_eval(b), self.ring.to_eval(a)))
-                        .collect()
-                })
+                .map(|(b, a)| (self.ring.to_eval(b), self.ring.to_eval(a)))
                 .collect()
         });
         KsKey { parts, parts_eval }
     }
 
-    /// `q*_j mod qi` where `q*_j = (Q/q_j) * [(Q/q_j)^{-1}]_{q_j}`.
+    /// `q*_j mod qi` where `q*_j = (Q/q_j) * [(Q/q_j)^{-1}]_{q_j}` and
+    /// `Q` is the product of `primes`.
     fn qstar_mod(primes: &[u64], j: usize, qi: u64) -> u64 {
         let qj = primes[j];
         // (Q / q_j) mod q_j, for the inverse.
@@ -367,13 +372,13 @@ impl BgvScheme {
 
     /// Sets the parallel degree for the scheme's data-parallel kernel
     /// loops: per-prime residue rows inside ring operations and the
-    /// per-prime digit rows of a key switch fork onto the shared
+    /// per-target-prime rows of a key switch fork onto the shared
     /// [`copse_pool::global`] worker pool when `threads > 1`.
     ///
     /// Every ciphertext produced is **bitwise identical** for every
-    /// value (rows and digit contributions are independent, collected
-    /// in chain order, and combined with exact modular arithmetic);
-    /// `1` — the default — is the sequential differential baseline.
+    /// value (each row is computed independently and collected in
+    /// chain order); `1` — the default — is the sequential
+    /// differential baseline.
     pub fn set_threads(&self, threads: usize) {
         self.ring.set_threads(threads);
     }
@@ -669,89 +674,81 @@ impl BgvScheme {
         }
     }
 
-    /// Key switching: homomorphically re-encrypts `poly * s'` (where
-    /// the key encodes `s'`) as a pair under `s`, via per-prime digit
-    /// decomposition.
+    /// Hybrid key switching: homomorphically re-encrypts `poly * s'`
+    /// (where the key encodes `s'`) as a pair under `s`.
     ///
-    /// Two routes, bitwise identical (the NTT is linear and exact over
-    /// each `Z_q`): the evaluation-domain route transforms each digit
-    /// row once, multiply-accumulates pointwise against key parts that
-    /// were pre-transformed at keygen, and inverse-transforms each of
-    /// the two output polynomials once — `level · digits` forward
-    /// transforms plus `2 · level` inverses per call, down from
-    /// `3 · level` transforms per digit *product*. The coefficient
-    /// route survives as the oracle for unfriendly chains and the
-    /// NTT-off/eval-off toggles.
+    /// At level `l`, digit `j` is `poly`'s residue row `j`, centered.
+    /// Each digit is lifted to the `l` chain primes plus the special
+    /// prime `P` and multiply-accumulated against key part `j`; the
+    /// `l + 1`-row product encrypts `P · poly · s'`, and dividing it by
+    /// `P` ([`RnsContext::mod_down_special`]) leaves `poly · s'` with
+    /// the key noise divided by `P` too.
+    ///
+    /// Work forks per target prime row: each row's accumulation is
+    /// independent, so no partial sums need merging and any parallel
+    /// degree is bitwise identical to the sequential loop. Two routes,
+    /// also bitwise identical (the NTT is linear and exact over each
+    /// `Z_q`): the evaluation-domain route transforms each digit once
+    /// per target row and accumulates pointwise against key parts
+    /// pre-transformed at keygen — `l · (l + 1)` forward transforms plus
+    /// `2 · (l + 1)` inverses per call. The coefficient route, the
+    /// oracle for unfriendly rings and the NTT-off/eval-off toggles,
+    /// takes one ring product per digit, key half and target row.
     fn key_switch(&self, poly: &RnsPoly, key: &KsKey) -> (RnsPoly, RnsPoly) {
         let level = self.ring.level_of(poly);
-        if self.eval_path(level) {
-            if let Some(parts) = &key.parts_eval {
-                return self.key_switch_eval(poly, parts, level);
-            }
-        }
-        self.key_switch_coeff(poly, key, level)
+        let digits: Vec<Vec<i64>> = (0..level)
+            .map(|j| self.ring.centered_row(poly, j))
+            .collect();
+        let eval_parts = key.parts_eval.as_ref().filter(|_| self.eval_path(level));
+        let targets = self.ring.key_switch_rows(level);
+        let rows = self.ring.par_rows(targets.len(), |i| match eval_parts {
+            Some(parts) => self.key_switch_row_eval(&digits, parts, targets[i]),
+            None => self.key_switch_row_coeff(&digits, &key.parts, targets[i]),
+        });
+        let (u0, u1): (Vec<Vec<u64>>, Vec<Vec<u64>>) = rows.into_iter().unzip();
+        (
+            self.ring.mod_down_special(&u0, 2),
+            self.ring.mod_down_special(&u1, 2),
+        )
     }
 
-    fn key_switch_eval(
+    /// One target row `t` of the evaluation-domain inner product: a
+    /// forward transform per digit, two inverses at the end.
+    fn key_switch_row_eval(
         &self,
-        poly: &RnsPoly,
-        parts: &[Vec<(EvalPoly, EvalPoly)>],
-        level: usize,
-    ) -> (RnsPoly, RnsPoly) {
-        // One job per source prime `j`: decompose its residue row into
-        // digits and multiply-accumulate them against the row's
-        // pre-transformed key parts. Jobs touch disjoint inputs and
-        // their partial accumulators combine with exact modular
-        // addition, so any chunking is bitwise identical to the
-        // sequential loop below — which is also the `threads == 1`
-        // route.
-        let accumulate_rows = |range: std::ops::Range<usize>| -> (EvalPoly, EvalPoly) {
-            let mut acc0 = self.ring.eval_zero(level);
-            let mut acc1 = self.ring.eval_zero(level);
-            for (j, key_row) in parts.iter().enumerate().take(range.end).skip(range.start) {
-                let digits = self
-                    .ring
-                    .decompose_digits(poly, j, self.params.ks_digit_bits);
-                for (digit_row, (b, a)) in digits.iter().zip(key_row) {
-                    let d = self.ring.small_to_eval(digit_row, level);
-                    self.ring.eval_mul_acc(&mut acc0, &d, b);
-                    self.ring.eval_mul_acc(&mut acc1, &d, a);
-                }
-            }
-            (acc0, acc1)
-        };
-        let threads = self.ring.threads();
-        let (acc0, acc1) = if threads > 1 && level > 1 && !copse_pool::in_worker() {
-            let partials = copse_pool::global().scope_chunks(level, threads, accumulate_rows);
-            let mut partials = partials.into_iter();
-            let (mut acc0, mut acc1) = partials.next().expect("at least one chunk");
-            for (p0, p1) in partials {
-                self.ring.eval_add_assign(&mut acc0, &p0);
-                self.ring.eval_add_assign(&mut acc1, &p1);
-            }
-            (acc0, acc1)
-        } else {
-            accumulate_rows(0..level)
-        };
-        (self.ring.from_eval(&acc0), self.ring.from_eval(&acc1))
+        digits: &[Vec<i64>],
+        parts: &[(EvalPoly, EvalPoly)],
+        t: usize,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let n = RnsContext::ntt_size(self.ring.m());
+        let (mut acc0, mut acc1) = (vec![0u64; n], vec![0u64; n]);
+        for (digit, (b, a)) in digits.iter().zip(parts) {
+            let d = self.ring.forward_row(&self.ring.signed_row(digit, t), t);
+            self.ring.mul_acc_row(&mut acc0, &d, &b.rows[t], t);
+            self.ring.mul_acc_row(&mut acc1, &d, &a.rows[t], t);
+        }
+        (
+            self.ring.inverse_row(&acc0, t),
+            self.ring.inverse_row(&acc1, t),
+        )
     }
 
-    /// Coefficient-domain key switch (the differential oracle). Digits
-    /// lift through [`RnsContext::from_small_unsigned`] (no per-digit
-    /// signed re-collect) and key parts are consumed at `level` through
-    /// [`RnsContext::mul_prefix`] row-slice views (no per-digit clone).
-    fn key_switch_coeff(&self, poly: &RnsPoly, key: &KsKey, level: usize) -> (RnsPoly, RnsPoly) {
-        let mut acc0 = self.ring.zero(level);
-        let mut acc1 = self.ring.zero(level);
-        for (j, key_row) in key.parts.iter().enumerate().take(level) {
-            let digits = self
-                .ring
-                .decompose_digits(poly, j, self.params.ks_digit_bits);
-            for (digit_row, (b, a)) in digits.iter().zip(key_row) {
-                let d = self.ring.from_small_unsigned(digit_row, level);
-                acc0 = self.ring.add(&acc0, &self.ring.mul_prefix(&d, b, level));
-                acc1 = self.ring.add(&acc1, &self.ring.mul_prefix(&d, a, level));
-            }
+    /// One target row `t` of the coefficient-domain inner product (the
+    /// differential oracle): a full ring product per digit and key half.
+    fn key_switch_row_coeff(
+        &self,
+        digits: &[Vec<i64>],
+        parts: &[(RnsPoly, RnsPoly)],
+        t: usize,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let phi = self.ring.phi();
+        let (mut acc0, mut acc1) = (vec![0u64; phi], vec![0u64; phi]);
+        for (digit, (b, a)) in digits.iter().zip(parts) {
+            let d = self.ring.signed_row(digit, t);
+            self.ring
+                .add_row_assign(&mut acc0, &self.ring.mul_row(&d, &b.residues[t], t), t);
+            self.ring
+                .add_row_assign(&mut acc1, &self.ring.mul_row(&d, &a.residues[t], t), t);
         }
         (acc0, acc1)
     }
@@ -760,7 +757,13 @@ impl BgvScheme {
     /// kernel of [`BgvScheme::mul`] and [`BgvScheme::rotate_slots`] —
     /// exposed for benchmarking and transform-count ablations.
     pub fn key_switch_relin(&self, ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
-        self.key_switch(&ct.c1, &self.relin)
+        self.key_switch_relin_poly(&ct.c1)
+    }
+
+    /// [`BgvScheme::key_switch_relin`] on an arbitrary ring element at
+    /// a chain level, for differential tests that need chosen digits.
+    pub fn key_switch_relin_poly(&self, poly: &RnsPoly) -> (RnsPoly, RnsPoly) {
+        self.key_switch(poly, &self.relin)
     }
 
     /// One BGV modulus switch (drops the last active prime).
@@ -1040,6 +1043,124 @@ mod tests {
                 assert_eq!(p.parts_eval, key.parts_eval, "key {exponent}");
             }
         }
+    }
+
+    /// Mixed-radix (Garner) digits of the integer in `[0, Q)` with the
+    /// given residues, least significant first.
+    fn mixed_radix(residues: &[u64], primes: &[u64]) -> Vec<u64> {
+        use crate::math::modq::{add_mod, sub_mod};
+        let mut digits: Vec<u64> = Vec::with_capacity(primes.len());
+        for (&r, &q) in residues.iter().zip(primes) {
+            let (mut value, mut radix) = (0u64, 1u64);
+            for (&d, &p) in digits.iter().zip(primes) {
+                value = add_mod(value, mul_mod(d % q, radix, q), q);
+                radix = mul_mod(radix, p % q, q);
+            }
+            let inv = inv_mod(radix, q).expect("coprime chain");
+            digits.push(mul_mod(sub_mod(r, value, q), inv, q));
+        }
+        digits
+    }
+
+    /// `log2` of the largest coefficient of `v`, centered modulo the
+    /// product of all its primes (CRT over the whole level, no modulus
+    /// switching).
+    fn centered_log2(s: &BgvScheme, v: &RnsPoly) -> f64 {
+        let primes = &s.ring().primes()[..v.residues.len()];
+        let magnitude = |i: usize| {
+            let pos: Vec<u64> = v.residues.iter().map(|row| row[i]).collect();
+            let neg: Vec<u64> = pos.iter().zip(primes).map(|(&x, &q)| (q - x) % q).collect();
+            let (pos, neg) = (mixed_radix(&pos, primes), mixed_radix(&neg, primes));
+            // The smaller of x and Q - x, compared most significant
+            // digit first.
+            let small = if pos.iter().rev().le(neg.iter().rev()) {
+                pos
+            } else {
+                neg
+            };
+            small
+                .iter()
+                .zip(primes)
+                .fold((0.0, 1.0), |(acc, radix), (&d, &q)| {
+                    (acc + d as f64 * radix, radix * q as f64)
+                })
+                .0
+        };
+        (0..s.ring().phi())
+            .map(magnitude)
+            .fold(1.0f64, f64::max)
+            .log2()
+    }
+
+    /// Measured noise `‖c0 + c1·s‖∞` of a ciphertext, as `log2`.
+    fn measured_noise_bits(s: &BgvScheme, ct: &Ciphertext) -> f64 {
+        let sk = s.ring.reduce_level(&s.secret, s.level(ct));
+        centered_log2(s, &s.ring.add(&ct.c0, &s.ring.mul(&ct.c1, &sk)))
+    }
+
+    #[test]
+    fn noise_estimate_bounds_measured_noise() {
+        for params in [BgvParams::tiny(), BgvParams::demo()] {
+            let s = BgvScheme::keygen(params);
+            let n = s.slots().nslots();
+            let a = enc_bits(&s, &(0..n).map(|i| i % 3 != 1).collect::<Vec<_>>());
+            let b = enc_bits(&s, &(0..n).map(|i| i % 2 == 0).collect::<Vec<_>>());
+            let rotated = s.rotate_slots(&a, 1);
+            let product = s.mul(&a, &b);
+            let twice = s.rotate_slots(&s.mul(&product, &rotated), 2);
+            for (what, ct) in [
+                ("rotate", &rotated),
+                ("mul", &product),
+                ("mul + rotate", &twice),
+            ] {
+                let measured = measured_noise_bits(&s, ct);
+                assert!(
+                    measured <= s.noise_bits(ct),
+                    "m = {}, {what}: measured {measured:.2} bits > estimate {:.2}",
+                    params.m,
+                    s.noise_bits(ct)
+                );
+            }
+            assert!(
+                s.ks_noise_bits < 14.0,
+                "hybrid key-switch noise {}",
+                s.ks_noise_bits
+            );
+        }
+    }
+
+    #[test]
+    fn key_switch_of_wide_digits_is_within_the_noise_estimate() {
+        // Digits of the largest chain prime beyond P/2 (P is the
+        // smallest prime): the switch must still encrypt poly * s^2
+        // with no more than the estimated key-switch noise.
+        let s = scheme();
+        let level = s.params.chain_len;
+        let special = s.ring.special_prime().unwrap();
+        let top = (s.ring.primes()[0] / 2) as i64;
+        let wide: Vec<i64> = (0..s.ring.phi() as i64)
+            .map(|i| match i % 3 {
+                0 => top - i,
+                1 => -top + i,
+                _ => (special / 2) as i64 + i,
+            })
+            .collect();
+        let poly = s.ring.from_signed(&wide, level);
+        assert!(s
+            .ring
+            .centered_row(&poly, 0)
+            .iter()
+            .any(|d| d.unsigned_abs() > special / 2));
+        let (k0, k1) = s.key_switch_relin_poly(&poly);
+        let sk = s.ring.reduce_level(&s.secret, level);
+        let want = s.ring.mul(&poly, &s.ring.mul(&sk, &sk));
+        let got = s.ring.add(&k0, &s.ring.mul(&k1, &sk));
+        let noise = centered_log2(&s, &s.ring.sub(&got, &want));
+        assert!(
+            noise <= s.ks_noise_bits,
+            "{noise:.2} > {:.2}",
+            s.ks_noise_bits
+        );
     }
 
     #[test]

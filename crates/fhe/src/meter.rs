@@ -22,8 +22,8 @@ static NTT_INVERSE: AtomicU64 = AtomicU64::new(0);
 ///
 /// Transforms are the dominant cost of every homomorphic operation on
 /// the BGV backend, and the quantity the evaluation-domain
-/// representation exists to save: a ciphertext kept in NTT form across
-/// a key-switch digit loop pays one forward transform per digit row
+/// representation exists to save: a key switch against pre-transformed
+/// key parts pays one forward transform per digit and target prime
 /// instead of several per digit product. Unlike [`OpCounts`], which
 /// meters *semantic* operations per backend, transforms are counted
 /// process-wide (the ring context has no handle to a backend meter) and

@@ -306,32 +306,46 @@ mod bgv_eval_parity {
         }
     }
 
-    /// Digit-width sweep: the eval/coefficient split must agree for
-    /// every decomposition geometry, from many narrow digits to one
-    /// digit per prime.
+    /// Special-prime lift regression: the special prime `P` is the
+    /// smallest prime, so centered digits of chain prime `q0` can exceed
+    /// `P/2` and must be reduced per target prime before any transform.
+    /// With such digits at every level, the eval, coefficient and
+    /// schoolbook key switches must still agree bitwise.
     #[test]
-    fn parity_holds_across_digit_widths() {
-        for ks_digit_bits in [5u32, 13, 25] {
-            let params = BgvParams {
-                ks_digit_bits,
-                ..BgvParams::tiny()
-            };
-            let eval = BgvScheme::keygen(params);
-            let mut coeff = BgvScheme::keygen(params);
-            coeff.set_eval_domain_enabled(false);
-            let bits = BitVec::from_bools(&[true, false, true, true, false, true]);
-            let e = eval.encrypt_poly(&eval.slots().encode(&bits));
-            let c = coeff.encrypt_poly(&coeff.slots().encode(&bits));
-            assert_eq!(e, c, "fresh ciphertexts, B = 2^{ks_digit_bits}");
+    fn wide_digits_lift_to_the_special_prime_identically_on_every_route() {
+        let (eval, coeff, school) = trio();
+        let ring = eval.ring();
+        let special = ring.special_prime().expect("keygen draws a special prime");
+        assert!(
+            ring.primes().iter().all(|&q| q > special),
+            "P is the smallest"
+        );
+        let top = (ring.primes()[0] / 2) as i64;
+        let half_p = (special / 2) as i64;
+        let coeffs: Vec<i64> = (0..ring.phi() as i64)
+            .map(|i| match i % 4 {
+                0 => top - i,
+                1 => -top + i,
+                2 => half_p + 1 + i,
+                _ => -half_p - 1 - i,
+            })
+            .collect();
+        for level in 1..=eval.params().chain_len {
+            let poly = ring.from_signed(&coeffs, level);
+            assert!(ring
+                .centered_row(&poly, 0)
+                .iter()
+                .any(|d| d.unsigned_abs() > special / 2));
+            let e = eval.key_switch_relin_poly(&poly);
             assert_eq!(
-                eval.rotate_slots(&e, 2),
-                coeff.rotate_slots(&c, 2),
-                "rotate, B = 2^{ks_digit_bits}"
+                e,
+                coeff.key_switch_relin_poly(&poly),
+                "eval vs coeff, level {level}"
             );
             assert_eq!(
-                eval.mul(&e, &e),
-                coeff.mul(&c, &c),
-                "mul, B = 2^{ks_digit_bits}"
+                e,
+                school.key_switch_relin_poly(&poly),
+                "eval vs schoolbook, level {level}"
             );
         }
     }

@@ -230,8 +230,14 @@ thread_local! {
 /// it. The meter layer uses this to attribute FHE ops recorded on pool
 /// workers back to the evaluation pass that forked them.
 pub fn set_task_context(context: TaskContext) -> TaskContextGuard {
+    replace_task_context(Some(context))
+}
+
+/// Makes `context` — `None` included — the current thread's task
+/// context until the returned guard drops.
+fn replace_task_context(context: Option<TaskContext>) -> TaskContextGuard {
     TaskContextGuard {
-        prev: TASK_CONTEXT.with(|c| c.replace(Some(context))),
+        prev: TASK_CONTEXT.with(|c| c.replace(context)),
     }
 }
 
@@ -457,7 +463,10 @@ impl WorkerPool {
             let mut jobs: Vec<Job> = Vec::with_capacity(n);
             for (i, task) in tasks.into_iter().enumerate() {
                 let wrapper = move || {
-                    let _ctx = context.clone().map(set_task_context);
+                    // Installed even when it is `None`: a helping
+                    // scoper runs other scopes' tasks, which must not
+                    // inherit the helper's own context.
+                    let _ctx = replace_task_context(context.clone());
                     let outcome = catch_unwind(AssertUnwindSafe(task));
                     match outcome {
                         // SAFETY: slot `i` belongs to this task alone,
@@ -834,6 +843,43 @@ mod tests {
         assert!(with_task_context(|c| c.is_none()), "guard restored");
         let counter = Arc::downcast::<AtomicU64>(tally).expect("downcast");
         assert_eq!(counter.load(Ordering::Relaxed), 8 + 8 * 3);
+    }
+
+    #[test]
+    fn a_helping_scoper_does_not_lend_its_context_to_foreign_tasks() {
+        // The scoper M (with a context) helps while another thread's
+        // context-free scope has a task queued that only M can run:
+        // the single worker is busy, and the other scoper is blocked
+        // in its inline task until the queued one has finished.
+        let p = pool(2);
+        let worker_started = Barrier::new(2);
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<bool>();
+        let done_rx = Mutex::new(done_rx);
+        let _guard = set_task_context(Arc::new(1u32));
+        p.scope_indices(2, 2, |i| {
+            // Task 0 runs inline on M; both wait here until the worker
+            // owns task 1.
+            worker_started.wait();
+            if i == 0 {
+                return;
+            }
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    p.scope_indices(2, 2, |j| {
+                        if j == 0 {
+                            let rx = done_rx.lock().expect("receiver lock");
+                            let saw_context = rx
+                                .recv_timeout(Duration::from_secs(10))
+                                .expect("the foreign task ran");
+                            assert!(!saw_context, "foreign task ran under M's context");
+                        } else {
+                            let seen = with_task_context(|c| c.is_some());
+                            done_tx.send(seen).expect("receiver alive");
+                        }
+                    });
+                });
+            });
+        });
     }
 
     #[test]

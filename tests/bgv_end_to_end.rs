@@ -26,7 +26,6 @@ fn tiny_backend() -> BgvBackend {
         m: 31,
         prime_bits: 25,
         chain_len: 12,
-        ks_digit_bits: 7,
         error_eta: 2,
         keygen_seed: 0xE2E,
     })
@@ -86,7 +85,6 @@ fn ntt_and_schoolbook_ring_paths_classify_identically() {
         m: 31,
         prime_bits: 25,
         chain_len: 12,
-        ks_digit_bits: 7,
         error_eta: 2,
         keygen_seed: 0xE2E,
     };
@@ -138,7 +136,6 @@ fn eval_domain_and_coefficient_paths_classify_identically() {
         m: 31,
         prime_bits: 25,
         chain_len: 12,
-        ks_digit_bits: 7,
         error_eta: 2,
         keygen_seed: 0xE2E,
     };

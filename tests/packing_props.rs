@@ -305,7 +305,6 @@ fn packed_parity_holds_on_real_bgv_ciphertexts() {
         m: 31,
         prime_bits: 25,
         chain_len: 14,
-        ks_digit_bits: 7,
         error_eta: 2,
         keygen_seed: 0xE2E,
     });

@@ -348,7 +348,6 @@ fn service_works_over_real_bgv_ciphertexts() {
         m: 31,
         prime_bits: 25,
         chain_len: 14,
-        ks_digit_bits: 7,
         error_eta: 2,
         keygen_seed: 0xE2E,
     };
